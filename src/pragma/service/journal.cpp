@@ -129,49 +129,6 @@ util::Status write_all(int fd, const std::uint8_t* bytes, std::size_t size,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Retry-after hint plumbing
-// ---------------------------------------------------------------------------
-
-namespace {
-constexpr const char* kRetryAfterToken = " [retry_after_ms=";
-}  // namespace
-
-util::Status unavailable_with_retry_after(const std::string& message,
-                                          int retry_after_ms) {
-  if (retry_after_ms < 0) retry_after_ms = 0;
-  return util::Status::unavailable(message + kRetryAfterToken +
-                                   std::to_string(retry_after_ms) + "]");
-}
-
-util::Status resource_exhausted_with_retry_after(const std::string& message,
-                                                 int retry_after_ms) {
-  if (retry_after_ms < 0) retry_after_ms = 0;
-  return util::Status::resource_exhausted(message + kRetryAfterToken +
-                                          std::to_string(retry_after_ms) +
-                                          "]");
-}
-
-int retry_after_ms(const util::Status& status) {
-  if (status.code() != util::StatusCode::kUnavailable &&
-      status.code() != util::StatusCode::kResourceExhausted)
-    return -1;
-  const std::string& message = status.message();
-  const std::size_t start = message.rfind(kRetryAfterToken);
-  if (start == std::string::npos) return -1;
-  std::size_t pos = start + std::strlen(kRetryAfterToken);
-  long value = 0;
-  bool any = false;
-  while (pos < message.size() && message[pos] >= '0' && message[pos] <= '9') {
-    if (value > (INT32_MAX - 9) / 10) return -1;
-    value = value * 10 + (message[pos] - '0');
-    any = true;
-    ++pos;
-  }
-  if (!any || pos >= message.size() || message[pos] != ']') return -1;
-  return static_cast<int>(value);
-}
-
-// ---------------------------------------------------------------------------
 // File / record framing
 // ---------------------------------------------------------------------------
 
@@ -195,8 +152,11 @@ std::vector<std::uint8_t> encode_journal_record(
   std::memcpy(out.data() + 16, &value, sizeof value);
   put_u32(out.data() + 24, util::crc32(payload.data(), payload.size()));
   put_u32(out.data() + 28, util::crc32(out.data(), 28));
-  std::memcpy(out.data() + kJournalRecordHeaderBytes, payload.data(),
-              payload.size());
+  // A tombstone's payload is empty and its data() may be null, which
+  // memcpy must not receive.
+  if (!payload.empty())
+    std::memcpy(out.data() + kJournalRecordHeaderBytes, payload.data(),
+                payload.size());
   return out;
 }
 
@@ -830,79 +790,21 @@ void Journal::enter_degraded(const util::Status& cause) {
 }
 
 util::Expected<std::uint64_t> Journal::append(const RunSpec& spec) {
-  std::vector<std::uint8_t> payload = encode_run_spec(spec);
-  if (payload.size() > config_.max_payload_bytes)
-    return shed_status(util::StatusCode::kOutOfRange,
-                       ShedReason::kPayloadTooLarge,
-                       "run-spec payload of " + std::to_string(payload.size()) +
-                           " bytes exceeds journal cap of " +
-                           std::to_string(config_.max_payload_bytes),
-                       /*retry_after_ms=*/-1);
-
-  std::uint64_t seq = 0;
-  std::uint64_t target = 0;
-  bool durable = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!opened_)
-      return util::Status::failed_precondition("journal not open");
-    seq = next_seq_++;
-
-    util::Status injected = util::Status::ok();
-    if (config_.testing_append_error) injected = config_.testing_append_error();
-
-    if (!degraded_ && injected.is_ok()) {
-      const std::vector<std::uint8_t> frame =
-          encode_journal_record(JournalRecordType::kPending, seq, payload);
-      // Saturation: try compacting first (tombstoned bulk may free the
-      // space); shed only when the *live* set itself is too large.
-      if (written_bytes_ + frame.size() > config_.max_active_bytes) {
-        (void)compact_locked();
-        if (written_bytes_ + frame.size() > config_.max_active_bytes) {
-          --next_seq_;
-          ++stats_.shed_saturated;
-          shed_saturated_counter().add();
-          return shed_status(util::StatusCode::kUnavailable,
-                             ShedReason::kJournalSaturated,
-                             "journal saturated (" +
-                                 std::to_string(written_bytes_) +
-                                 " bytes live)",
-                             config_.shed_retry_after_ms);
-        }
-      }
-      util::Status written = write_frame(frame, &target);
-      if (written.is_ok()) {
-        ++records_in_active_;
-        durable = true;
-      } else {
-        enter_degraded(written);
-      }
-    } else if (!injected.is_ok()) {
-      enter_degraded(injected);
-    }
-
-    LivePending live;
-    live.key = spec.journal_key();
-    live.name = spec.name;
-    if (durable) live.payload = std::move(payload);
-    live_.emplace(seq, std::move(live));
-    ++stats_.appends;
-    if (!durable) ++stats_.degraded_appends;
-  }
-  appends_counter().add();
-  if (durable && config_.fsync) {
-    if (util::Status synced = commit(target); !synced.is_ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      enter_degraded(synced);
-    }
-  }
-  return seq;
+  util::Expected<std::vector<std::uint64_t>> seqs =
+      append_records({&spec}, /*batch_call=*/false);
+  if (!seqs) return seqs.status();
+  return seqs.value().front();
 }
 
 util::Expected<std::vector<std::uint64_t>> Journal::append_batch(
     const std::vector<const RunSpec*>& specs) {
+  if (specs.empty()) return std::vector<std::uint64_t>{};
+  return append_records(specs, /*batch_call=*/true);
+}
+
+util::Expected<std::vector<std::uint64_t>> Journal::append_records(
+    const std::vector<const RunSpec*>& specs, bool batch_call) {
   std::vector<std::uint64_t> seqs;
-  if (specs.empty()) return seqs;
   seqs.reserve(specs.size());
 
   // Encode every payload outside the lock; an oversized spec sheds the
@@ -944,13 +846,16 @@ util::Expected<std::vector<std::uint64_t>> Journal::append_batch(
       std::size_t chunk_bytes = 4;
       const auto flush_chunk = [&] {
         if (chunk.empty()) return;
-        const std::vector<std::uint8_t> frame =
+        std::vector<std::uint8_t> frame =
             chunk.size() == 1
                 ? encode_journal_record(JournalRecordType::kPending,
                                         chunk.front().seq,
                                         chunk.front().payload)
                 : encode_journal_batch_record(chunk);
-        image.insert(image.end(), frame.begin(), frame.end());
+        if (image.empty())
+          image = std::move(frame);
+        else
+          image.insert(image.end(), frame.begin(), frame.end());
         chunk.clear();
         chunk_bytes = 4;
       };
@@ -981,8 +886,9 @@ util::Expected<std::vector<std::uint64_t>> Journal::append_batch(
                              ShedReason::kJournalSaturated,
                              "journal saturated (" +
                                  std::to_string(written_bytes_) +
-                                 " bytes live); batch of " +
-                                 std::to_string(specs.size()) + " shed",
+                                 " bytes live); " +
+                                 std::to_string(specs.size()) +
+                                 " spec(s) shed",
                              config_.shed_retry_after_ms);
         }
       }
@@ -1005,11 +911,11 @@ util::Expected<std::vector<std::uint64_t>> Journal::append_batch(
       live_.emplace(seqs[i], std::move(live));
     }
     stats_.appends += specs.size();
-    ++stats_.batch_appends;
+    if (batch_call) ++stats_.batch_appends;
     if (!durable) stats_.degraded_appends += specs.size();
   }
   appends_counter().add(specs.size());
-  batch_appends_counter().add();
+  if (batch_call) batch_appends_counter().add();
   if (durable && config_.fsync) {
     if (util::Status synced = commit(target); !synced.is_ok()) {
       std::lock_guard<std::mutex> lock(mu_);

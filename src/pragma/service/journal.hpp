@@ -209,27 +209,6 @@ struct JournalStats {
   bool degraded = false;
 };
 
-/// Build a Status::unavailable whose message carries a machine-readable
-/// retry-after hint: "<message> [retry_after_ms=<ms>]".  Status itself
-/// stays a (code, bounded message) pair — the hint travels inside the
-/// message so it survives every existing plumbing layer unchanged.
-/// Compatibility shim: new code builds sheds through shed_status() and
-/// decodes them with shed_info() (admission.hpp), which additionally
-/// carries the structured ShedReason tag.
-[[nodiscard]] util::Status unavailable_with_retry_after(
-    const std::string& message, int retry_after_ms);
-
-/// Like unavailable_with_retry_after, for budget-kill sheds: a
-/// Status::resource_exhausted carrying the same machine-readable
-/// " [retry_after_ms=<ms>]" hint, so budget backpressure rides the
-/// degradation ladder's existing retry convention.
-[[nodiscard]] util::Status resource_exhausted_with_retry_after(
-    const std::string& message, int retry_after_ms);
-
-/// Parse the retry-after hint back out of a shed status; -1 when the
-/// status carries none (not shed, or shed by a pre-hint layer).
-[[nodiscard]] int retry_after_ms(const util::Status& status);
-
 /// The write-ahead journal.  Thread-safe; appends from concurrent
 /// submitters share group-commit fsyncs (the first waiter syncs for
 /// everyone whose bytes are already on the file).
@@ -248,17 +227,18 @@ class Journal {
   [[nodiscard]] util::Expected<JournalRecovery> open();
 
   /// Durably append a pending record for `spec` and return its sequence
-  /// number.  Sheds with Status::unavailable (retry-after hint attached)
-  /// on saturation; latches degraded mode on I/O failure and keeps
-  /// serving (the returned seq is then in-memory only).
+  /// number: append_batch() of one spec, without counting as a batch in
+  /// JournalStats.
   [[nodiscard]] util::Expected<std::uint64_t> append(const RunSpec& spec);
 
   /// Durably append pending records for every spec with ONE write and ONE
   /// group-commit fsync (kBatch frames, chunked to the payload cap; a
   /// chunk of one degenerates to a plain kPending frame so a batch of one
-  /// is byte-identical to append()).  All-or-nothing: saturation or an
-  /// oversized payload sheds the whole batch and no sequence is consumed.
-  /// Returns one sequence per spec, in order.
+  /// is byte-identical to append()).  All-or-nothing: saturation sheds
+  /// with Status::unavailable (retry-after hint attached), an oversized
+  /// payload with kOutOfRange, and no sequence is consumed.  I/O failure
+  /// latches degraded mode and keeps serving (the returned seqs are then
+  /// in-memory only).  Returns one sequence per spec, in order.
   [[nodiscard]] util::Expected<std::vector<std::uint64_t>> append_batch(
       const std::vector<const RunSpec*>& specs);
 
@@ -286,6 +266,10 @@ class Journal {
 
   [[nodiscard]] std::string path_for(std::uint64_t generation) const;
   [[nodiscard]] std::vector<std::uint64_t> generations() const;
+  /// append()/append_batch() body; `batch_call` counts it in
+  /// JournalStats::batch_appends.  `specs` is non-empty.
+  [[nodiscard]] util::Expected<std::vector<std::uint64_t>> append_records(
+      const std::vector<const RunSpec*>& specs, bool batch_call);
   /// Append raw framed bytes to the active fd.  Requires mu_.  On
   /// success *watermark receives the monotonic append watermark covering
   /// this write (a cross-generation byte counter, never reset, so a

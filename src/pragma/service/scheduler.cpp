@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
-#include <functional>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "pragma/obs/flight_recorder.hpp"
@@ -94,16 +92,6 @@ obs::Counter& budget_throttled_counter() {
   return counter;
 }
 
-double percentile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
 util::Status shutting_down_status() {
   return shed_status(util::StatusCode::kUnavailable, ShedReason::kShuttingDown,
                      "scheduler is shutting down", /*retry_after_ms=*/-1);
@@ -114,28 +102,17 @@ util::Status shutting_down_status() {
 Scheduler::Scheduler(SchedulerConfig config, util::ThreadPool* pool)
     : config_(config), pool_(pool != nullptr ? pool : &util::shared_pool()) {
   if (config_.queue_capacity == 0) config_.queue_capacity = 1;
-  std::size_t nshards = config_.admission_shards;
-  if (nshards == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    nshards = std::min<std::size_t>(8, std::max(1u, hw));
-  }
-  config_.admission_shards = nshards;
-  shards_.reserve(nshards);
-  for (std::size_t i = 0; i < nshards; ++i)
-    shards_.push_back(std::make_unique<Shard>());
 }
 
 Scheduler::~Scheduler() {
-  shutdown_.store(true);
   std::vector<TicketPtr> doomed;
   std::vector<TicketPtr> running;
   {
+    // Submitters whose journal append is in flight observe shutdown_ when
+    // they come back to stage, and shed instead.
     std::unique_lock<std::mutex> lock(mu_);
-    // Centralize anything still staged in the shards; stagers racing this
-    // drain observe shutdown_ under their shard mutex and shed instead.
-    drain_shards_locked();
+    shutdown_ = true;
     doomed.assign(queue_.begin(), queue_.end());
-    occupied_.fetch_sub(queue_.size());
     queue_.clear();
     running = inflight_;
   }
@@ -166,14 +143,37 @@ std::size_t Scheduler::workers() const {
   return std::max<std::size_t>(1, pool_->size());
 }
 
-Scheduler::Shard& Scheduler::shard_for(const std::string& tenant) {
-  return *shards_[std::hash<std::string>{}(tenant) % shards_.size()];
+util::Status Scheduler::reject(util::Status status,
+                               std::size_t SchedulerStats::*rung,
+                               obs::Counter* rung_counter) {
+  ++stats_.rejected;
+  rejected_counter().add();
+  if (rung != nullptr) ++(stats_.*rung);
+  if (rung_counter != nullptr) rung_counter->add();
+  return status;
 }
 
-util::Status Scheduler::check_rate_limit(Shard& shard,
-                                         const std::string& tenant_name) {
-  if (config_.rate_limit.rate_per_s <= 0.0) return util::Status::ok();
-  TokenBucket& bucket = shard.buckets[tenant_name];
+util::Status Scheduler::shed_ladder(const RunSpec& spec, bool rate_limited) {
+  if (shutdown_) return reject(shutting_down_status());
+  if (rate_limited && config_.rate_limit.rate_per_s > 0.0) {
+    if (util::Status limited = check_rate_limit(spec.tenant);
+        !limited.is_ok())
+      return reject(std::move(limited), &SchedulerStats::shed_rate_limited,
+                    &shed_rate_limited_counter());
+  }
+  if (queue_.size() + reserved_ >= config_.queue_capacity)
+    return reject(
+        shed_status(util::StatusCode::kUnavailable, ShedReason::kQueueFull,
+                    "admission queue full (" + std::to_string(queue_.size()) +
+                        "/" + std::to_string(config_.queue_capacity) +
+                        "); run \"" + spec.name + "\" shed",
+                    config_.shed_retry_after_ms),
+        &SchedulerStats::shed_queue_full, &shed_queue_full_counter());
+  return util::Status::ok();
+}
+
+util::Status Scheduler::check_rate_limit(const std::string& tenant_name) {
+  TokenBucket& bucket = buckets_[tenant_name];
   const auto now = std::chrono::steady_clock::now();
   if (!bucket.primed) {
     bucket.primed = true;
@@ -190,10 +190,6 @@ util::Status Scheduler::check_rate_limit(Shard& shard,
   if (bucket.tokens < 1.0) {
     const double wait_s =
         (1.0 - bucket.tokens) / config_.rate_limit.rate_per_s;
-    n_shed_rate_limited_.fetch_add(1);
-    n_rejected_.fetch_add(1);
-    rejected_counter().add();
-    shed_rate_limited_counter().add();
     return shed_status(util::StatusCode::kUnavailable,
                        ShedReason::kRateLimited,
                        "tenant \"" + tenant_name + "\" rate limited",
@@ -203,261 +199,144 @@ util::Status Scheduler::check_rate_limit(Shard& shard,
   return util::Status::ok();
 }
 
-bool Scheduler::try_reserve() {
-  const std::size_t prev = occupied_.fetch_add(1);
-  if (prev >= config_.queue_capacity) {
-    occupied_.fetch_sub(1);
-    return false;
-  }
-  reserved_.fetch_add(1);
-  return true;
-}
-
-void Scheduler::release_reservation() {
-  reserved_.fetch_sub(1);
-  occupied_.fetch_sub(1);
-}
-
-bool Scheduler::stage(Shard& shard, const TicketPtr& ticket) {
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shutdown_.load()) return false;
-    ticket->sequence = next_sequence_.fetch_add(1);
-    ticket->run_id = ticket->sequence;
-    ticket->submitted_at = std::chrono::steady_clock::now();
-    shard.staged.push_back(ticket);
-    staged_.fetch_add(1);
-  }
-  reserved_.fetch_sub(1);
-  n_submitted_.fetch_add(1);
-  submitted_counter().add();
-  const std::size_t depth = queue_depth();
-  std::size_t peak = peak_queue_depth_.load();
-  while (depth > peak &&
-         !peak_queue_depth_.compare_exchange_weak(peak, depth)) {
-  }
-  queue_depth_gauge().set(static_cast<double>(depth));
-  return true;
-}
-
-void Scheduler::kick_dispatch() {
-  // Fast path: all worker slots busy — the finishing worker drains the
-  // shards itself (finish() decrements running_ under mu_ *before* its
-  // dispatch sweep, so either that sweep sees our staged ticket or we see
-  // the decremented running_ here; the staged ticket is never orphaned).
-  if (running_.load() >= workers()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  maybe_dispatch();
-}
-
-void Scheduler::drain_shards_locked() {
-  if (staged_.load() == 0) return;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    while (!shard->staged.empty()) {
-      queue_.push_back(std::move(shard->staged.front()));
-      shard->staged.pop_front();
-      staged_.fetch_sub(1);
-    }
-  }
-}
-
 util::Expected<RunHandle> Scheduler::submit(RunSpec spec) {
-  return admit(std::move(spec), /*rate_limited=*/true, /*recovered_seq=*/0);
+  return std::move(admit({&spec, 1}, /*rate_limited=*/true,
+                         /*recovered_seq=*/0)
+                       .front());
 }
 
 util::Expected<RunHandle> Scheduler::resubmit_recovered(
     RunSpec spec, std::uint64_t journal_seq) {
-  return admit(std::move(spec), /*rate_limited=*/false, journal_seq);
+  return std::move(
+      admit({&spec, 1}, /*rate_limited=*/false, journal_seq).front());
 }
 
-util::Expected<RunHandle> Scheduler::admit(RunSpec spec, bool rate_limited,
-                                           std::uint64_t recovered_seq) {
-  // Phase 1 (shard-local): degradation-ladder checks, then reserve a
-  // queue slot with one atomic fetch-add.  The reservation keeps
-  // concurrent submitters from oversubscribing the queue while phase 2
-  // runs unlocked; nothing here touches the central dispatch lock.
-  if (shutdown_.load()) {
-    n_rejected_.fetch_add(1);
-    rejected_counter().add();
-    return shutting_down_status();
+std::vector<util::Expected<RunHandle>> Scheduler::admit(
+    std::span<RunSpec> specs, bool rate_limited,
+    std::uint64_t recovered_seq) {
+  // Build the tickets before taking mu_: moving a RunSpec is most of
+  // the per-spec work, and it needs no lock.
+  std::vector<TicketPtr> tickets(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    tickets[i] = std::make_shared<detail::Ticket>();
+    tickets[i]->spec = std::move(specs[i]);
+    tickets[i]->journal_seq = recovered_seq;
   }
-  Shard& shard = shard_for(spec.tenant);
-  if (rate_limited) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (util::Status limited = check_rate_limit(shard, spec.tenant);
-        !limited.is_ok())
-      return limited;
+  const bool journaling = config_.journal != nullptr && recovered_seq == 0;
+  std::vector<util::Status> sheds(specs.size());
+  std::vector<const RunSpec*> to_journal;
+  std::vector<util::Expected<RunHandle>> results;
+  results.reserve(specs.size());
+  std::unique_lock<std::mutex> lock(mu_);
+
+  // Phase 1 (mu_): the shed ladder, then reserve a queue slot.  The
+  // reservation keeps concurrent submitters from oversubscribing the
+  // queue while phase 2 runs unlocked.
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    sheds[i] = shed_ladder(tickets[i]->spec, rate_limited);
+    if (!sheds[i].is_ok()) continue;
+    ++reserved_;
+    if (journaling) to_journal.push_back(&tickets[i]->spec);
   }
-  if (!try_reserve()) {
-    n_rejected_.fetch_add(1);
-    n_shed_queue_full_.fetch_add(1);
-    rejected_counter().add();
-    shed_queue_full_counter().add();
-    return shed_status(util::StatusCode::kUnavailable, ShedReason::kQueueFull,
-                       "admission queue full (" +
-                           std::to_string(queue_depth()) + "/" +
-                           std::to_string(config_.queue_capacity) +
-                           "); run \"" + spec.name + "\" shed",
-                       config_.shed_retry_after_ms);
-  }
-  auto ticket = std::make_shared<detail::Ticket>();
-  ticket->spec = std::move(spec);
-  ticket->journal_seq = recovered_seq;
 
   // Phase 2 (unlocked): the durable append — group-commit fsync happens
-  // here, so no scheduler lock is ever held across disk I/O.  Recovered
-  // runs keep their original pending record instead of appending again.
-  if (config_.journal != nullptr && recovered_seq == 0) {
-    util::Expected<std::uint64_t> seq = config_.journal->append(ticket->spec);
-    if (!seq) {
-      release_reservation();
-      n_rejected_.fetch_add(1);
-      n_shed_journal_.fetch_add(1);
-      rejected_counter().add();
-      shed_journal_counter().add();
-      return seq.status();
-    }
-    ticket->journal_seq = seq.value();
+  // here, so no scheduler lock is ever held across disk I/O.  The whole
+  // reserved set is one append_batch() call (a batch of one writes the
+  // same bytes as append()); a shed sheds it all-or-nothing so no half
+  // of a batch is durable while its other half never existed.  Recovered
+  // runs keep their original pending record.
+  util::Status journaled = util::Status::ok();
+  if (!to_journal.empty()) {
+    lock.unlock();
+    const util::Expected<std::vector<std::uint64_t>> seqs =
+        config_.journal->append_batch(to_journal);
+    lock.lock();
+    journaled = seqs.status();
+    for (std::size_t i = 0, k = 0; seqs && i < specs.size(); ++i)
+      if (sheds[i].is_ok()) tickets[i]->journal_seq = seqs.value()[k++];
   }
 
-  // Phase 3 (shard-local): convert the reservation into a staged ticket.
-  if (!stage(shard, ticket)) {
-    // Shut down while appending: the journal keeps the pending record,
-    // so a restart recovers the run instead of losing it silently.
-    release_reservation();
-    n_rejected_.fetch_add(1);
-    rejected_counter().add();
-    return shutting_down_status();
+  // Phase 3 (mu_): stage in index order, so admission sequences match N
+  // single submits, then dispatch.  Shed tickets are freed after mu_ is
+  // released.
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    TicketPtr& ticket = tickets[i];
+    if (!sheds[i].is_ok()) {
+      results.emplace_back(std::move(sheds[i]));
+      continue;
+    }
+    --reserved_;
+    if (!journaled.is_ok()) {
+      results.emplace_back(reject(journaled, &SchedulerStats::shed_journal,
+                                  &shed_journal_counter()));
+    } else if (shutdown_) {
+      // Shut down while appending: the journal keeps the pending record,
+      // so a restart recovers the run instead of losing it silently.
+      results.emplace_back(reject(shutting_down_status()));
+    } else {
+      ticket->sequence = next_sequence_++;
+      ticket->run_id = ticket->sequence;
+      ticket->submitted_at = std::chrono::steady_clock::now();
+      queue_.push_back(ticket);
+      ++stats_.submitted;
+      submitted_counter().add();
+      stats_.peak_queue_depth =
+          std::max(stats_.peak_queue_depth, queue_.size());
+      results.emplace_back(RunHandle(std::move(ticket), this));
+    }
   }
-  kick_dispatch();
-  return RunHandle(std::move(ticket), this);
+  queue_depth_gauge().set(static_cast<double>(queue_.size()));
+  maybe_dispatch();
+  return results;
 }
 
 std::vector<util::Expected<RunHandle>> Scheduler::submit_batch(
     std::vector<RunSpec> specs) {
   const std::size_t n = specs.size();
-  std::vector<util::Expected<RunHandle>> results;
-  results.reserve(n);
-  if (n == 0) return results;
-  n_batches_.fetch_add(1);
-  n_batch_specs_.fetch_add(n);
-  batches_counter().add();
-  batch_specs_counter().add(n);
-  for (std::size_t i = 0; i < n; ++i)
-    results.emplace_back(util::Status::unavailable("batch slot unresolved"));
+  if (n == 0) return {};
 
   // Coalesce: duplicates of the same journal_key with bitwise-identical
   // encoded payloads (and the same trace object) attach to the first
   // occurrence's execution.  Custom workloads never coalesce — their
   // callables are not part of the encoding, so two specs could encode
   // equal yet run different code.
-  std::vector<std::size_t> primary(n);
-  std::vector<std::vector<std::uint8_t>> encoded;
+  std::vector<RunSpec> primaries;
+  std::vector<std::size_t> slot(n);  // specs[i] -> its primary's index
+  std::vector<std::vector<std::uint8_t>> encoded(n);
   std::map<std::string, std::size_t> first_by_key;
-  if (config_.coalesce_batches) encoded.resize(n);
+  std::size_t coalesced = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    primary[i] = i;
-    if (!config_.coalesce_batches) continue;
-    if (specs[i].kind == WorkloadKind::kCustom) continue;
-    encoded[i] = encode_run_spec(specs[i]);
-    const auto [it, fresh] = first_by_key.emplace(specs[i].journal_key(), i);
-    if (!fresh) {
+    if (specs[i].kind != WorkloadKind::kCustom) {
+      encoded[i] = encode_run_spec(specs[i]);
+      const auto [it, fresh] = first_by_key.emplace(specs[i].journal_key(), i);
       const std::size_t j = it->second;
-      if (specs[i].trace == specs[j].trace && encoded[i] == encoded[j]) {
-        primary[i] = j;
-        n_coalesced_.fetch_add(1);
-        coalesced_counter().add();
-      }
-    }
-  }
-
-  // Per-item admission: rate limit + slot reservation.  A shed item's
-  // slot carries its own status while the rest of the batch proceeds.
-  struct Pending {
-    std::size_t index;
-    TicketPtr ticket;
-    Shard* shard;
-  };
-  std::vector<Pending> admitted;
-  admitted.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (primary[i] != i) continue;  // follower: fans out below
-    if (shutdown_.load()) {
-      n_rejected_.fetch_add(1);
-      rejected_counter().add();
-      results[i] = shutting_down_status();
-      continue;
-    }
-    Shard& shard = shard_for(specs[i].tenant);
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      if (util::Status limited = check_rate_limit(shard, specs[i].tenant);
-          !limited.is_ok()) {
-        results[i] = std::move(limited);
+      if (!fresh && specs[i].trace == primaries[slot[j]].trace &&
+          encoded[i] == encoded[j]) {
+        slot[i] = slot[j];
+        ++coalesced;
         continue;
       }
     }
-    if (!try_reserve()) {
-      n_rejected_.fetch_add(1);
-      n_shed_queue_full_.fetch_add(1);
-      rejected_counter().add();
-      shed_queue_full_counter().add();
-      results[i] = shed_status(
-          util::StatusCode::kUnavailable, ShedReason::kQueueFull,
-          "admission queue full (" + std::to_string(queue_depth()) + "/" +
-              std::to_string(config_.queue_capacity) + "); run \"" +
-              specs[i].name + "\" shed",
-          config_.shed_retry_after_ms);
-      continue;
-    }
-    auto ticket = std::make_shared<detail::Ticket>();
-    ticket->spec = std::move(specs[i]);
-    admitted.push_back(Pending{i, std::move(ticket), &shard});
+    slot[i] = primaries.size();
+    primaries.push_back(std::move(specs[i]));
   }
-
-  // ONE WAL append + ONE group-commit fsync for the whole admitted set.
-  // Saturation sheds the set all-or-nothing so no half of a batch is
-  // durable while its other half never existed.
-  if (config_.journal != nullptr && !admitted.empty()) {
-    std::vector<const RunSpec*> jspecs;
-    jspecs.reserve(admitted.size());
-    for (const Pending& p : admitted) jspecs.push_back(&p.ticket->spec);
-    util::Expected<std::vector<std::uint64_t>> seqs =
-        config_.journal->append_batch(jspecs);
-    if (!seqs) {
-      for (const Pending& p : admitted) {
-        release_reservation();
-        n_rejected_.fetch_add(1);
-        n_shed_journal_.fetch_add(1);
-        rejected_counter().add();
-        shed_journal_counter().add();
-        results[p.index] = seqs.status();
-      }
-      admitted.clear();
-    } else {
-      for (std::size_t k = 0; k < admitted.size(); ++k)
-        admitted[k].ticket->journal_seq = seqs.value()[k];
-    }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.batches;
+    stats_.batch_specs += n;
+    stats_.coalesced += coalesced;
   }
+  batches_counter().add();
+  batch_specs_counter().add(n);
+  coalesced_counter().add(coalesced);
 
-  // Stage in index order so admission sequences match N single submits.
-  for (const Pending& p : admitted) {
-    if (!stage(*p.shard, p.ticket)) {
-      release_reservation();
-      n_rejected_.fetch_add(1);
-      rejected_counter().add();
-      results[p.index] = shutting_down_status();
-      continue;
-    }
-    results[p.index] = RunHandle(p.ticket, this);
-  }
-  if (!admitted.empty()) kick_dispatch();
-
+  const std::vector<util::Expected<RunHandle>> admitted =
+      admit(primaries, /*rate_limited=*/true, /*recovered_seq=*/0);
   // Fan each primary's result — handle or shed status — out to its
   // coalesced followers.
-  for (std::size_t i = 0; i < n; ++i)
-    if (primary[i] != i) results[i] = results[primary[i]];
+  std::vector<util::Expected<RunHandle>> results;
+  results.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) results.push_back(admitted[slot[i]]);
   return results;
 }
 
@@ -468,35 +347,21 @@ void Scheduler::set_tenant_weight(const std::string& tenant, double weight) {
 
 void Scheduler::drain() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [&] {
-    return staged_.load() == 0 && queue_.empty() && running_.load() == 0;
-  });
+  idle_cv_.wait(lock, [&] { return queue_.empty() && running_ == 0; });
 }
 
 SchedulerStats Scheduler::stats() const {
-  SchedulerStats out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = terminal_stats_;
-    out.queue_p50_s = percentile(queue_latencies_s_, 0.50);
-    out.queue_p99_s = percentile(queue_latencies_s_, 0.99);
-  }
-  out.submitted = n_submitted_.load();
-  out.rejected = n_rejected_.load();
-  out.shed_queue_full = n_shed_queue_full_.load();
-  out.shed_rate_limited = n_shed_rate_limited_.load();
-  out.shed_journal = n_shed_journal_.load();
-  out.batches = n_batches_.load();
-  out.batch_specs = n_batch_specs_.load();
-  out.coalesced = n_coalesced_.load();
-  out.peak_queue_depth = peak_queue_depth_.load();
+  std::lock_guard<std::mutex> lock(mu_);
+  SchedulerStats out = stats_;
+  const std::vector<double> latencies = queue_latencies_s_.values();
+  out.queue_p50_s = util::percentile(latencies, 50.0);
+  out.queue_p99_s = util::percentile(latencies, 99.0);
   return out;
 }
 
 std::size_t Scheduler::queue_depth() const {
-  const std::size_t occupied = occupied_.load();
-  const std::size_t reserved = reserved_.load();
-  return occupied > reserved ? occupied - reserved : 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  return queue_.size();
 }
 
 Scheduler::TicketPtr Scheduler::pick_next() {
@@ -531,16 +396,13 @@ Scheduler::TicketPtr Scheduler::pick_next() {
 }
 
 void Scheduler::maybe_dispatch() {
-  drain_shards_locked();
-  while (running_.load() < workers() && !queue_.empty()) {
+  while (running_ < workers() && !queue_.empty()) {
     TicketPtr ticket = pick_next();
-    occupied_.fetch_sub(1);
-    queue_depth_gauge().set(static_cast<double>(queue_depth()));
-    running_.fetch_add(1);
-    terminal_stats_.peak_running =
-        std::max(terminal_stats_.peak_running, running_.load());
+    queue_depth_gauge().set(static_cast<double>(queue_.size()));
+    ++running_;
+    stats_.peak_running = std::max(stats_.peak_running, running_);
     const double queued_s = seconds_since(ticket->submitted_at);
-    queue_latencies_s_.push_back(queued_s);
+    queue_latencies_s_.push(queued_s);
     // Pre-dispatch: the executor (and any waiter, via the terminal-state
     // handshake) observes this write through the pool's queue ordering.
     ticket->outcome.queue_s = queued_s;
@@ -696,21 +558,18 @@ void Scheduler::finish(const TicketPtr& ticket, RunOutcome outcome) {
   if (config_.journal != nullptr && ticket->journal_seq != 0)
     config_.journal->tombstone(ticket->journal_seq);
   std::lock_guard<std::mutex> lock(mu_);
-  // Decrement before the dispatch sweep: a submitter that staged while we
-  // held every slot either gets drained below or observes the lowered
-  // running_ and kicks dispatch itself — no staged ticket is orphaned.
-  running_.fetch_sub(1);
+  --running_;
   inflight_.erase(std::find(inflight_.begin(), inflight_.end(), ticket));
   switch (outcome.state) {
-    case RunState::kCompleted: ++terminal_stats_.completed; break;
-    case RunState::kFailed: ++terminal_stats_.failed; break;
-    case RunState::kCancelled: ++terminal_stats_.cancelled; break;
+    case RunState::kCompleted: ++stats_.completed; break;
+    case RunState::kFailed: ++stats_.failed; break;
+    case RunState::kCancelled: ++stats_.cancelled; break;
     default: break;
   }
   if (outcome.state == RunState::kFailed &&
       outcome.status.code() == util::StatusCode::kResourceExhausted)
-    ++terminal_stats_.budget_killed;
-  if (outcome.budget_throttled) ++terminal_stats_.budget_throttled;
+    ++stats_.budget_killed;
+  if (outcome.budget_throttled) ++stats_.budget_throttled;
   {
     std::lock_guard<std::mutex> ticket_lock(ticket->mu);
     ticket->state = outcome.state;
@@ -725,15 +584,11 @@ bool Scheduler::cancel_ticket(const TicketPtr& ticket) {
   bool withdrawn = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // The ticket may still sit in a shard staging queue — centralize
-    // first so the withdraw scan sees it.
-    drain_shards_locked();
     const auto it = std::find(queue_.begin(), queue_.end(), ticket);
     if (it != queue_.end()) {
       queue_.erase(it);
-      occupied_.fetch_sub(1);
-      queue_depth_gauge().set(static_cast<double>(queue_depth()));
-      ++terminal_stats_.cancelled;
+      queue_depth_gauge().set(static_cast<double>(queue_.size()));
+      ++stats_.cancelled;
       {
         std::lock_guard<std::mutex> ticket_lock(ticket->mu);
         ticket->cancel.store(true, std::memory_order_relaxed);

@@ -10,16 +10,13 @@
 // tenant and FIFO tie-breaking, so one chatty tenant cannot starve the
 // rest and ordering stays deterministic.
 //
-// Admission is *sharded*: tenants hash onto admission shards, each with
-// its own mutex guarding that shard's token buckets and staging queue, so
-// concurrent submitters no longer serialize on one global lock.  Capacity
-// is a single atomic occupancy counter; the central fair-share state
-// (tenant weights, dispatched counts, the dispatch queue) stays under one
-// mutex but is only touched when a worker slot is actually free.  The
-// fair-share pick compares *fields* (tenant share, priority, admission
-// sequence), never queue position, so draining shard staging queues into
-// the dispatch queue in any order preserves the exact dispatch order of
-// the unsharded scheduler.
+// Admission is one body under one mutex.  submit(), submit_batch() and
+// resubmit_recovered() all run the same shed ladder and differ only in
+// their inputs (rate-limited or not, a recorded journal seq or not):
+// check every spec and reserve its queue slot under mu_, append the
+// reserved set to the write-ahead journal with mu_ released (no scheduler
+// lock is ever held across journal I/O), then stage the tickets and
+// dispatch under mu_ again.
 //
 // submit_batch() admits N specs in one call: per-item rate-limit and
 // capacity decisions (a shed item's slot carries its own status while the
@@ -30,9 +27,9 @@
 // observes that shared outcome.
 //
 // Shed ladder classification (every admission-time rejection carries a
-// machine-readable " [shed=<reason>]" tag — decode with shed_info() from
-// admission.hpp; " [retry_after_ms=N]" hints remain for the legacy
-// retry_after_ms() parser):
+// machine-readable " [shed=<reason>]" tag and, when it has one, a
+// " [retry_after_ms=N]" hint — decode both with shed_info() from
+// admission.hpp):
 //
 //   reason             | status code        | retry? | hint
 //   -------------------+--------------------+--------+--------------------
@@ -60,7 +57,6 @@
 // snapshot (replay) boundary, custom workloads poll RunContext.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -68,13 +64,19 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "pragma/service/admission.hpp"
 #include "pragma/service/run_spec.hpp"
+#include "pragma/util/stats.hpp"
 #include "pragma/util/status.hpp"
 #include "pragma/util/thread_pool.hpp"
+
+namespace pragma::obs {
+class Counter;
+}  // namespace pragma::obs
 
 namespace pragma::service {
 
@@ -97,15 +99,6 @@ struct SchedulerConfig {
   /// Bounded admission queue: submissions beyond this many *queued* runs
   /// are shed with Status::unavailable.
   std::size_t queue_capacity = 64;
-  /// Admission shards: tenants hash onto shards, each with its own lock,
-  /// so concurrent submitters contend per shard instead of globally.
-  /// 0 = auto (min(8, hardware threads)); 1 = the unsharded layout.
-  std::size_t admission_shards = 0;
-  /// Coalesce identical specs inside one submit_batch() call: duplicates
-  /// of the same journal_key with identical encoded payloads share one
-  /// execution (and one journal record); every handle observes the shared
-  /// outcome.  Single submit() calls never coalesce.
-  bool coalesce_batches = true;
   /// Per-tenant token bucket (first rung of the degradation ladder).
   TenantRateLimit rate_limit = {};
   /// Retry-after hint attached to queue-full sheds (the rate-limit shed
@@ -141,7 +134,9 @@ struct SchedulerStats {
   std::size_t budget_throttled = 0;  ///< throttle-action budget violations
   std::size_t peak_queue_depth = 0;
   std::size_t peak_running = 0;
-  double queue_p50_s = 0.0;  ///< median admission->dispatch latency
+  /// Admission->dispatch latency percentiles over the last
+  /// Scheduler::kQueueLatencyWindow dispatches.
+  double queue_p50_s = 0.0;
   double queue_p99_s = 0.0;
 };
 
@@ -166,7 +161,9 @@ class Scheduler : public Admission, public detail::TicketOwner {
 
   /// Admit a batch: one WAL append + one fsync for every admitted spec,
   /// per-item shed statuses, identical specs coalesced onto one
-  /// execution.  Results are positional: results[i] belongs to specs[i].
+  /// execution (duplicates of the same journal_key with identical encoded
+  /// payloads; custom workloads never coalesce, single submit() calls
+  /// never do).  Results are positional: results[i] belongs to specs[i].
   [[nodiscard]] std::vector<util::Expected<RunHandle>> submit_batch(
       std::vector<RunSpec> specs) override;
 
@@ -185,8 +182,10 @@ class Scheduler : public Admission, public detail::TicketOwner {
 
   [[nodiscard]] SchedulerStats stats() const;
   [[nodiscard]] std::size_t queue_depth() const;
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] const SchedulerConfig& config() const { return config_; }
+
+  /// Dispatches the queue-latency percentiles in stats() cover.
+  static constexpr std::size_t kQueueLatencyWindow = 4096;
 
  private:
   using TicketPtr = std::shared_ptr<detail::Ticket>;
@@ -196,43 +195,30 @@ class Scheduler : public Admission, public detail::TicketOwner {
     bool primed = false;
     std::chrono::steady_clock::time_point last_refill;
   };
-  /// One admission shard.  Its mutex guards the staging queue and the
-  /// token buckets of every tenant that hashes here.  Lock order:
-  /// mu_ may be held when taking a shard mutex (the dispatch drain),
-  /// never the reverse — a submitter releases the shard before kicking
-  /// dispatch.
-  struct Shard {
-    std::mutex mu;
-    std::deque<TicketPtr> staged;
-    std::map<std::string, TokenBucket> buckets;
-  };
 
   [[nodiscard]] std::size_t workers() const;
-  [[nodiscard]] Shard& shard_for(const std::string& tenant);
-  /// submit()/resubmit_recovered() body.
-  [[nodiscard]] util::Expected<RunHandle> admit(RunSpec spec,
-                                                bool rate_limited,
-                                                std::uint64_t recovered_seq);
-  /// Token-bucket check for `tenant`.  Requires shard.mu.  Returns ok or
-  /// the shed status with a computed retry-after hint.
-  [[nodiscard]] util::Status check_rate_limit(Shard& shard,
-                                              const std::string& tenant);
-  /// Claim one queue slot against queue_capacity (single atomic
-  /// fetch-add); false = queue full.  A successful reservation is
-  /// released by stage(), release_reservation(), or ticket doom.
-  [[nodiscard]] bool try_reserve();
-  void release_reservation();
-  /// Convert a reservation into a staged ticket: assign its admission
-  /// sequence and push it onto the shard's staging queue.  Returns false
-  /// when shutdown raced the staging (the caller resolves the shed; a
-  /// journaled record stays live for recovery).
-  [[nodiscard]] bool stage(Shard& shard, const TicketPtr& ticket);
-  /// Lock-free fast path: only take mu_ (and dispatch) when a worker
-  /// slot might be free.
-  void kick_dispatch();
-  /// Move every staged ticket into the central dispatch queue.  Requires
-  /// mu_ (takes each shard mutex inside).
-  void drain_shards_locked();
+  /// The one admission body.  Runs every spec through shed_ladder(),
+  /// journals the reserved set with mu_ released — unless the specs are
+  /// recovered (`recovered_seq` != 0), whose record is already live —
+  /// then stages and dispatches.  results[i] belongs to specs[i]; the
+  /// admitted specs are moved from.
+  [[nodiscard]] std::vector<util::Expected<RunHandle>> admit(
+      std::span<RunSpec> specs, bool rate_limited,
+      std::uint64_t recovered_seq);
+  /// The scheduler's rungs of the shed ladder for one spec: shutting
+  /// down, then the tenant's token bucket when `rate_limited`, then queue
+  /// capacity.  Returns ok or the counted shed status.  Requires mu_.
+  [[nodiscard]] util::Status shed_ladder(const RunSpec& spec,
+                                         bool rate_limited);
+  /// Count an admission rejection (and its ladder rung, when given) and
+  /// pass its status through.  Requires mu_.
+  util::Status reject(util::Status status,
+                      std::size_t SchedulerStats::*rung = nullptr,
+                      obs::Counter* rung_counter = nullptr);
+  /// Token-bucket check for `tenant`.  Requires mu_ and a positive
+  /// rate_limit.rate_per_s.  Returns ok or the shed status with a
+  /// computed retry-after hint.
+  [[nodiscard]] util::Status check_rate_limit(const std::string& tenant);
   /// Dispatch queued tickets while worker slots are free.  Requires mu_.
   void maybe_dispatch();
   /// Remove and return the fair-share pick.  Requires mu_; queue_ must be
@@ -245,45 +231,26 @@ class Scheduler : public Admission, public detail::TicketOwner {
 
   SchedulerConfig config_;
   util::ThreadPool* pool_;
-  std::vector<std::unique_ptr<Shard>> shards_;
 
-  std::atomic<bool> shutdown_{false};
-  std::atomic<std::uint64_t> next_sequence_{0};
-  /// staged + centrally queued + reserved (journal append in flight) —
-  /// the whole capacity check is one fetch-add on this counter.
-  std::atomic<std::size_t> occupied_{0};
-  /// Reservations whose journal append is still in flight (subset of
-  /// occupied_); queue_depth() = occupied_ - reserved_.
-  std::atomic<std::size_t> reserved_{0};
-  /// Tickets sitting in shard staging queues (subset of occupied_); lets
-  /// the dispatcher skip the shard sweep when nothing is staged.
-  std::atomic<std::size_t> staged_{0};
-  std::atomic<std::size_t> running_{0};
-
-  // Admission-side counters: bumped from shard context without mu_.
-  std::atomic<std::size_t> n_submitted_{0};
-  std::atomic<std::size_t> n_rejected_{0};
-  std::atomic<std::size_t> n_shed_queue_full_{0};
-  std::atomic<std::size_t> n_shed_rate_limited_{0};
-  std::atomic<std::size_t> n_shed_journal_{0};
-  std::atomic<std::size_t> n_batches_{0};
-  std::atomic<std::size_t> n_batch_specs_{0};
-  std::atomic<std::size_t> n_coalesced_{0};
-  std::atomic<std::size_t> peak_queue_depth_{0};
-
-  mutable std::mutex mu_;  ///< dispatch queue + fair-share + terminal stats
+  // Everything below is guarded by mu_.
+  mutable std::mutex mu_;
   std::condition_variable idle_cv_;
+  bool shutdown_ = false;
+  std::uint64_t next_sequence_ = 0;
   std::deque<TicketPtr> queue_;
+  /// Queue slots held by specs whose journal append is in flight; the
+  /// capacity check counts them with queue_.
+  std::size_t reserved_ = 0;
+  std::size_t running_ = 0;
   std::vector<TicketPtr> inflight_;
+  std::map<std::string, TokenBucket> buckets_;
   struct Tenant {
     double weight = 1.0;
     std::uint64_t dispatched = 0;
   };
   std::map<std::string, Tenant> tenants_;
-  /// Terminal-side counters (completed/failed/cancelled/budget/peaks),
-  /// guarded by mu_.
-  SchedulerStats terminal_stats_;
-  std::vector<double> queue_latencies_s_;
+  SchedulerStats stats_;  ///< queue percentiles filled in by stats()
+  util::SlidingWindow queue_latencies_s_{kQueueLatencyWindow};
 };
 
 }  // namespace pragma::service

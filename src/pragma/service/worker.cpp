@@ -468,10 +468,6 @@ std::vector<util::Expected<RunHandle>> DistributedService::submit_batch(
   return coordinator_->submit_batch(std::move(specs));
 }
 
-util::Expected<std::uint64_t> DistributedService::submit(RunSpec spec) {
-  return coordinator_->submit_id(std::move(spec));
-}
-
 util::Status DistributedService::run_until_done(double max_sim_s) {
   while (!coordinator_->all_done()) {
     if (simulator_.now() >= max_sim_s)

@@ -161,10 +161,6 @@ class DistributedService {
   [[nodiscard]] std::vector<util::Expected<RunHandle>> submit_batch(
       std::vector<RunSpec> specs);
 
-  /// \deprecated Pre-Admission shim returning the raw DistRun id; new
-  /// code uses submit_run() and RunHandle::id().  Kept for one release.
-  [[nodiscard]] util::Expected<std::uint64_t> submit(RunSpec spec);
-
   /// Drive the simulation until every submitted run is terminal (ok) or
   /// `max_sim_s` passes first (unavailable).
   [[nodiscard]] util::Status run_until_done(double max_sim_s = 3600.0);

@@ -82,7 +82,7 @@ TEST(BudgetEnforcement, KillActionShedsWithResourceExhaustedAndHint) {
   EXPECT_EQ(outcome.state, RunState::kFailed);
   EXPECT_EQ(outcome.status.code(), util::StatusCode::kResourceExhausted);
   EXPECT_NE(outcome.status.to_string().find("cpu budget"), std::string::npos);
-  EXPECT_GT(retry_after_ms(outcome.status), 0);
+  EXPECT_GT(shed_info(outcome.status).retry_after_ms, 0);
   EXPECT_GT(outcome.usage.cpu_s, 0.0);
   // The run stopped at its first cooperative boundary, not the end.
   EXPECT_LT(outcome.managed.records.size(),

@@ -112,9 +112,9 @@ TEST(Distributed, BurstCompletesAndMatchesStandalone) {
   for (int i = 0; i < 3; ++i) {
     specs.push_back(managed_spec(root + "/run-" + std::to_string(i), 14,
                                  40 + 1000ull * static_cast<unsigned>(i)));
-    const auto id = service.submit(specs.back());
-    ASSERT_TRUE(id) << id.status().to_string();
-    ids.push_back(id.value());
+    const auto handle = service.submit_run(specs.back());
+    ASSERT_TRUE(handle) << handle.status().to_string();
+    ids.push_back(handle.value().id());
   }
   ASSERT_TRUE(service.run_until_done(300.0).is_ok());
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -136,13 +136,13 @@ TEST(Distributed, KillMidRunFailsOverByteIdentical) {
   service.add_worker("w0");
   service.add_worker("w1");
   const RunSpec spec = managed_spec(root + "/run", /*steps=*/30);
-  const auto id = service.submit(spec);
-  ASSERT_TRUE(id) << id.status().to_string();
+  const auto handle = service.submit_run(spec);
+  ASSERT_TRUE(handle) << handle.status().to_string();
   // Both workers idle: the run lands on one of them and executes in
   // ~1 s slices.  Kill the assignee mid-run; the confirm window is 3 s,
   // so failover lands while the run is genuinely unfinished.
   service.simulator().schedule_at(1.6, [&] {
-    const DistRun* run = service.coordinator().find(id.value());
+    const DistRun* run = service.coordinator().find(handle.value().id());
     ASSERT_NE(run, nullptr);
     ASSERT_FALSE(run->assignee.empty());
     // Map port back to worker name ("dist.worker.<name>").
@@ -152,7 +152,7 @@ TEST(Distributed, KillMidRunFailsOverByteIdentical) {
   });
   ASSERT_TRUE(service.run_until_done(600.0).is_ok());
 
-  const DistRun* run = service.coordinator().find(id.value());
+  const DistRun* run = service.coordinator().find(handle.value().id());
   ASSERT_NE(run, nullptr);
   ASSERT_EQ(run->state, DistRunState::kCompleted);
   EXPECT_EQ(run->failovers, 1);
@@ -180,14 +180,14 @@ TEST(Distributed, FlappingWorkerSuspectsUnsuspectsThenDies) {
   Worker& w0 = service.add_worker("w0");
   service.add_worker("w1");
   const RunSpec spec = managed_spec(root + "/run", /*steps=*/36);
-  const auto id = service.submit(spec);
-  ASSERT_TRUE(id) << id.status().to_string();
+  const auto handle = service.submit_run(spec);
+  ASSERT_TRUE(handle) << handle.status().to_string();
   // Let the dispatch sweep land the run, then freeze whichever worker
   // got it for 2 s: past the 1.5 s suspect window, short of the 3 s
   // confirm window.
   agents::PortId assignee;
   service.simulator().schedule_at(0.6, [&] {
-    const DistRun* run = service.coordinator().find(id.value());
+    const DistRun* run = service.coordinator().find(handle.value().id());
     ASSERT_NE(run, nullptr);
     assignee = run->assignee;
     ASSERT_FALSE(assignee.empty());
@@ -203,7 +203,7 @@ TEST(Distributed, FlappingWorkerSuspectsUnsuspectsThenDies) {
   EXPECT_GE(detector.unsuspects(), 1u)
       << "resumed heartbeats must clear the suspicion";
 
-  const DistRun* run = service.coordinator().find(id.value());
+  const DistRun* run = service.coordinator().find(handle.value().id());
   ASSERT_NE(run, nullptr);
   ASSERT_EQ(run->state, DistRunState::kCompleted);
   EXPECT_EQ(run->failovers, 1) << "exactly one failover, from the real death";
@@ -226,8 +226,8 @@ TEST(Distributed, JoinMidBurstStealsBacklog) {
   config.worker_queue_depth = 2;
   DistributedService service(config, /*seed=*/43);
   service.add_worker("w0");
-  const auto a = service.submit(managed_spec(root + "/a", 18, 40));
-  const auto b = service.submit(managed_spec(root + "/b", 18, 1040));
+  const auto a = service.submit_run(managed_spec(root + "/a", 18, 40));
+  const auto b = service.submit_run(managed_spec(root + "/b", 18, 1040));
   ASSERT_TRUE(a);
   ASSERT_TRUE(b);
   service.schedule_join(1.0, "w1");
@@ -262,15 +262,16 @@ TEST(Distributed, PartitionDegradesGracefully) {
   // Submit once the worker is already cut off: the leases cannot reach
   // it, the worker is eventually confirmed dead, and the runs must sit
   // in the queue (not lost, not failed) until the heal.
-  util::Expected<std::uint64_t> a = util::Status::internal("unset");
-  util::Expected<std::uint64_t> b = util::Status::internal("unset");
-  util::Expected<std::uint64_t> c = util::Status::internal("unset");
+  util::Expected<RunHandle> a = util::Status::internal("unset");
+  util::Expected<RunHandle> b = util::Status::internal("unset");
+  util::Expected<RunHandle> c = util::Status::internal("unset");
   service.simulator().schedule_at(0.5, [&] {
-    a = service.submit(quick);
-    b = service.submit(quick);
+    a = service.submit_run(quick);
+    b = service.submit_run(quick);
   });
   // Queue full (capacity 2, worker unreachable): shed, not queued.
-  service.simulator().schedule_at(5.0, [&] { c = service.submit(quick); });
+  service.simulator().schedule_at(5.0,
+                                  [&] { c = service.submit_run(quick); });
   service.simulator().run(12.0);
 
   ASSERT_TRUE(a);
@@ -361,10 +362,10 @@ TEST(Distributed, ConcurrentChurningServicesAreDeterministic) {
       service.schedule_join(2.0, "w2");
       const std::string dir =
           root + "/t" + std::to_string(t) + "/run";
-      const auto id = service.submit(managed_spec(dir, /*steps=*/24));
-      ASSERT_TRUE(id);
+      const auto handle = service.submit_run(managed_spec(dir, /*steps=*/24));
+      ASSERT_TRUE(handle);
       ASSERT_TRUE(service.run_until_done(600.0).is_ok());
-      const DistRun* run = service.coordinator().find(id.value());
+      const DistRun* run = service.coordinator().find(handle.value().id());
       ASSERT_NE(run, nullptr);
       ASSERT_EQ(run->state, DistRunState::kCompleted);
       reports[t] = run->outcome.managed;
@@ -393,9 +394,9 @@ TEST(Distributed, DisabledAutoscaleAndBudgetlessAccountantAreByteIdentical) {
       RunSpec spec = managed_spec(
           root + "/" + tag + "-" + std::to_string(i), 14,
           40 + 1000ull * static_cast<unsigned>(i));
-      const auto id = service.submit(spec);
-      ASSERT_TRUE(id) << id.status().to_string();
-      ids.push_back(id.value());
+      const auto handle = service.submit_run(spec);
+      ASSERT_TRUE(handle) << handle.status().to_string();
+      ids.push_back(handle.value().id());
     }
     ASSERT_TRUE(service.run_until_done(300.0).is_ok());
     for (const std::uint64_t id : ids) {

@@ -399,7 +399,8 @@ TEST(JournalDegradationTest, SaturationShedsWithRetryAfterHint) {
   util::Expected<std::uint64_t> shed = journal.append(small_managed_spec("b"));
   ASSERT_FALSE(shed.has_value());
   EXPECT_EQ(shed.status().code(), util::StatusCode::kUnavailable);
-  EXPECT_EQ(retry_after_ms(shed.status()), config.shed_retry_after_ms);
+  EXPECT_EQ(shed_info(shed.status()).retry_after_ms,
+            config.shed_retry_after_ms);
   EXPECT_EQ(journal.stats().shed_saturated, 1u);
 
   // Completing the first run frees its slot: the retry now passes via the
@@ -485,6 +486,59 @@ TEST(JournalSchedulerTest, TerminalRunsTombstoneTheirRecords) {
   EXPECT_EQ(stats.appends, 4u);
   EXPECT_EQ(stats.tombstones, 4u);
   EXPECT_EQ(stats.live_pending, 0u);
+}
+
+TEST(JournalSchedulerTest, RecoveredResubmissionBypassesRateLimitAndAppend) {
+  TempDir dir;
+  Journal journal(journal_config(dir));
+  ASSERT_TRUE(journal.open().has_value());
+
+  util::ThreadPool pool(1);
+  SchedulerConfig config{/*workers=*/1, /*queue_capacity=*/16};
+  // A one-token bucket that practically never refills: the first submit
+  // empties it for the rest of the test.
+  config.rate_limit = {/*rate_per_s=*/1e-3, /*burst=*/1.0};
+  config.journal = &journal;
+  Scheduler scheduler(config, &pool);
+
+  std::promise<void> gate;
+  std::shared_future<void> release = gate.get_future().share();
+  const auto blocking = [&release](const std::string& name) {
+    RunSpec spec;
+    spec.name = name;
+    spec.kind = WorkloadKind::kCustom;
+    spec.custom = [release](RunContext&) {
+      release.wait();
+      return util::Status::ok();
+    };
+    return spec;
+  };
+  util::Expected<RunHandle> first = scheduler.submit(blocking("first"));
+  ASSERT_TRUE(first.has_value());
+  util::Expected<RunHandle> shed = scheduler.submit(blocking("second"));
+  ASSERT_FALSE(shed.has_value());
+  EXPECT_EQ(shed_info(shed.status()).reason, ShedReason::kRateLimited);
+
+  // A pending record left by an earlier process.
+  const RunSpec recovered_spec = blocking("recovered");
+  util::Expected<std::uint64_t> seq = journal.append(recovered_spec);
+  ASSERT_TRUE(seq.has_value());
+  const std::uint64_t appends = journal.stats().appends;
+
+  util::Expected<RunHandle> recovered =
+      scheduler.resubmit_recovered(recovered_spec, seq.value());
+  ASSERT_TRUE(recovered.has_value()) << recovered.status().to_string();
+  EXPECT_EQ(journal.stats().appends, appends);
+  EXPECT_EQ(journal.stats().live_pending, 2u);
+
+  gate.set_value();
+  EXPECT_EQ(recovered.value().wait().state, RunState::kCompleted);
+  scheduler.drain();
+  // The rerun's terminal transition tombstones the original record.
+  EXPECT_EQ(journal.stats().live_pending, 0u);
+  const SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.submitted, 2u);
+  EXPECT_EQ(stats.shed_rate_limited, 1u);
 }
 
 TEST(JournalRuntimeTest, RecoveredRunCompletesByteIdenticalToFreshRun) {
