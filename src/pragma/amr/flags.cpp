@@ -31,9 +31,18 @@ bool FlagField::get(IntVec3 p) const {
   return cells_[index(p)] != 0;
 }
 
-void FlagField::clear() {
-  cells_.assign(cells_.size(), 0);
-  count_ = 0;
+void FlagField::fill(const Box& box) {
+  const Box clipped = domain_.intersection(box);
+  if (clipped.empty()) return;
+  const int width = clipped.extent().x;
+  for (int z = clipped.lo().z; z < clipped.hi().z; ++z)
+    for (int y = clipped.lo().y; y < clipped.hi().y; ++y) {
+      std::uint8_t* row = &cells_[index({clipped.lo().x, y, z})];
+      for (int i = 0; i < width; ++i) {
+        count_ += 1 - row[i];
+        row[i] = 1;
+      }
+    }
 }
 
 void FlagField::flag_where(const std::function<bool(IntVec3)>& predicate) {
@@ -48,50 +57,47 @@ void FlagField::flag_where(const std::function<bool(IntVec3)>& predicate) {
 std::int64_t FlagField::count() const { return count_; }
 
 std::int64_t FlagField::count_in(const Box& box) const {
-  const Box clipped = domain_.intersection(box);
-  std::int64_t total = 0;
-  for (int z = clipped.lo().z; z < clipped.hi().z; ++z)
-    for (int y = clipped.lo().y; y < clipped.hi().y; ++y)
-      for (int x = clipped.lo().x; x < clipped.hi().x; ++x)
-        total += cells_[index({x, y, z})];
-  return total;
+  return signatures(box).count;
 }
 
-std::vector<std::int64_t> FlagField::signature(const Box& box,
-                                               int axis) const {
-  const Box clipped = domain_.intersection(box);
-  if (clipped.empty()) return {};
-  std::vector<std::int64_t> sig(
-      static_cast<std::size_t>(clipped.extent()[axis]), 0);
-  for (int z = clipped.lo().z; z < clipped.hi().z; ++z)
-    for (int y = clipped.lo().y; y < clipped.hi().y; ++y)
-      for (int x = clipped.lo().x; x < clipped.hi().x; ++x) {
-        if (cells_[index({x, y, z})]) {
-          const IntVec3 p{x, y, z};
-          sig[static_cast<std::size_t>(p[axis] - clipped.lo()[axis])] += 1;
-        }
+FlagSignatures FlagField::signatures(const Box& region) const {
+  FlagSignatures out;
+  const Box clipped = domain_.intersection(region);
+  if (clipped.empty()) return out;
+  const IntVec3 lo = clipped.lo();
+  const IntVec3 e = clipped.extent();
+  std::array<std::vector<std::int64_t>, 3> sig;
+  for (int axis = 0; axis < 3; ++axis)
+    sig[axis].assign(static_cast<std::size_t>(e[axis]), 0);
+  for (int z = 0; z < e.z; ++z)
+    for (int y = 0; y < e.y; ++y) {
+      const std::uint8_t* row = &cells_[index({lo.x, lo.y + y, lo.z + z})];
+      std::int64_t in_row = 0;
+      for (int x = 0; x < e.x; ++x) {
+        sig[0][static_cast<std::size_t>(x)] += row[x];
+        in_row += row[x];
       }
-  return sig;
-}
+      sig[1][static_cast<std::size_t>(y)] += in_row;
+      sig[2][static_cast<std::size_t>(z)] += in_row;
+      out.count += in_row;
+    }
+  if (out.count == 0) return out;
 
-Box FlagField::minimal_bounding_box(const Box& box) const {
-  const Box clipped = domain_.intersection(box);
-  IntVec3 lo = clipped.hi();
-  IntVec3 hi = clipped.lo();
-  bool found = false;
-  for (int z = clipped.lo().z; z < clipped.hi().z; ++z)
-    for (int y = clipped.lo().y; y < clipped.hi().y; ++y)
-      for (int x = clipped.lo().x; x < clipped.hi().x; ++x) {
-        if (!cells_[index({x, y, z})]) continue;
-        found = true;
-        lo.x = std::min(lo.x, x);
-        lo.y = std::min(lo.y, y);
-        lo.z = std::min(lo.z, z);
-        hi.x = std::max(hi.x, x + 1);
-        hi.y = std::max(hi.y, y + 1);
-        hi.z = std::max(hi.z, z + 1);
-      }
-  return found ? Box(lo, hi) : Box{};
+  IntVec3 bound_lo;
+  IntVec3 bound_hi;
+  for (int axis = 0; axis < 3; ++axis) {
+    const std::vector<std::int64_t>& s = sig[axis];
+    std::size_t first = 0;
+    while (s[first] == 0) ++first;
+    std::size_t last = s.size();
+    while (s[last - 1] == 0) --last;
+    bound_lo[axis] = lo[axis] + static_cast<int>(first);
+    bound_hi[axis] = lo[axis] + static_cast<int>(last);
+    out.planes[axis].assign(s.begin() + static_cast<std::ptrdiff_t>(first),
+                            s.begin() + static_cast<std::ptrdiff_t>(last));
+  }
+  out.bound = Box(bound_lo, bound_hi);
+  return out;
 }
 
 }  // namespace pragma::amr

@@ -5,6 +5,7 @@
 // cells into patch boxes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -12,6 +13,19 @@
 #include "pragma/amr/box.hpp"
 
 namespace pragma::amr {
+
+/// What one pass over a region of a FlagField finds.
+struct FlagSignatures {
+  /// Smallest box containing every flagged cell of the region (empty box
+  /// if none).
+  Box bound;
+  /// Flagged cells in the region.
+  std::int64_t count = 0;
+  /// The Berger–Rigoutsos signatures of `bound`: per-plane flagged-cell
+  /// counts along each axis, planes[axis][i] for plane bound.lo()[axis] + i.
+  /// Exact for `bound` because every flagged cell of the region lies in it.
+  std::array<std::vector<std::int64_t>, 3> planes;
+};
 
 class FlagField {
  public:
@@ -21,7 +35,9 @@ class FlagField {
 
   void set(IntVec3 p, bool flagged = true);
   [[nodiscard]] bool get(IntVec3 p) const;
-  void clear();
+
+  /// Flag every cell of `box` (clipped to the domain).
+  void fill(const Box& box);
 
   /// Flag every cell for which `predicate(cell)` holds.
   void flag_where(const std::function<bool(IntVec3)>& predicate);
@@ -30,14 +46,9 @@ class FlagField {
   [[nodiscard]] std::int64_t count_in(const Box& box) const;
   [[nodiscard]] bool any() const { return count_ > 0; }
 
-  /// Per-plane flagged-cell counts along `axis` within `box` — the
-  /// "signatures" of the Berger–Rigoutsos algorithm.
-  [[nodiscard]] std::vector<std::int64_t> signature(const Box& box,
-                                                    int axis) const;
-
-  /// Smallest box inside `box` containing all flagged cells (empty box if
-  /// none).
-  [[nodiscard]] Box minimal_bounding_box(const Box& box) const;
+  /// Bounding box, flagged count and signatures of the flagged cells in
+  /// `region` (clipped to the domain), from one row-wise pass.
+  [[nodiscard]] FlagSignatures signatures(const Box& region) const;
 
  private:
   [[nodiscard]] std::size_t index(IntVec3 p) const;

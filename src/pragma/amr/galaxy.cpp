@@ -114,81 +114,24 @@ bool GalaxyEmulator::advance() {
   return false;
 }
 
+SphereFeature Clump::feature() const {
+  return {x, y, z, radius(), density()};
+}
+
 double GalaxyEmulator::indicator(double x, double y, double z) const {
   double ind = 0.0;
-  for (const Clump& clump : clumps_) {
-    const double radius = clump.radius();
-    if (std::abs(x - clump.x) > radius || std::abs(y - clump.y) > radius ||
-        std::abs(z - clump.z) > radius)
-      continue;
-    const double dx = x - clump.x;
-    const double dy = y - clump.y;
-    const double dz = z - clump.z;
-    const double q = std::sqrt(dx * dx + dy * dy + dz * dz) / radius;
-    const double bump = 1.0 - q * q;
-    if (bump > 0.0) ind = std::max(ind, clump.density() * bump);
-  }
+  for (const Clump& clump : clumps_)
+    ind = std::max(ind, clump.feature().value(x, y, z));
   return ind;
 }
 
-std::vector<Box> GalaxyEmulator::flag_and_cluster(int level) {
-  const auto r = static_cast<int>(hierarchy_.cumulative_ratio(level));
-  const double nx = static_cast<double>(config_.base_dims.x * r);
-  const double ny = static_cast<double>(config_.base_dims.y * r);
-  const double nz = static_cast<double>(config_.base_dims.z * r);
-  const double threshold = config_.thresholds[static_cast<std::size_t>(level)];
-
-  std::vector<Box> coverage;
-  if (level == 0) {
-    coverage.push_back(hierarchy_.level_domain(0));
-  } else if (level < hierarchy_.num_levels()) {
-    coverage = hierarchy_.level(level).boxes;
-  } else {
-    return {};
-  }
-  if (coverage.empty()) return {};
-
-  const Box field_domain = bounding_box(coverage);
-  FlagField flags(field_domain);
-  for (const Box& box : coverage)
-    for (int z = box.lo().z; z < box.hi().z; ++z) {
-      const double wz = (static_cast<double>(z) + 0.5) / nz;
-      for (int y = box.lo().y; y < box.hi().y; ++y) {
-        const double wy = (static_cast<double>(y) + 0.5) / ny;
-        for (int x = box.lo().x; x < box.hi().x; ++x) {
-          const double wx = (static_cast<double>(x) + 0.5) / nx;
-          if (indicator(wx, wy, wz) >= threshold) flags.set({x, y, z});
-        }
-      }
-    }
-  if (!flags.any()) return {};
-
-  ClusterOptions options = config_.cluster;
-  options.max_box_cells = 0;
-  std::vector<Box> clustered = cluster_flags(flags, field_domain, options);
-  std::vector<Box> refined;
-  refined.reserve(clustered.size());
-  for (const Box& box : clustered) {
-    const Box fine = box.refine(config_.ratio);
-    if (config_.cluster.max_box_cells > 0 &&
-        fine.volume() > config_.cluster.max_box_cells) {
-      for (const Box& piece : fine.chop(config_.cluster.max_box_cells))
-        refined.push_back(piece);
-    } else {
-      refined.push_back(fine);
-    }
-  }
-  return refined;
-}
-
 void GalaxyEmulator::regrid() {
-  GridHierarchy fresh(config_.base_dims, config_.ratio, config_.max_levels);
-  hierarchy_ = std::move(fresh);
-  for (int level = 0; level + 1 < config_.max_levels; ++level) {
-    std::vector<Box> next = flag_and_cluster(level);
-    if (next.empty()) break;
-    hierarchy_.set_level_boxes(level + 1, std::move(next));
-  }
+  hierarchy_ = build_hierarchy(config_.base_dims, config_.ratio,
+                               config_.max_levels, config_.thresholds,
+                               config_.cluster, [this](FlagPass& pass) {
+                                 for (const Clump& clump : clumps_)
+                                   pass.splat(clump.feature());
+                               });
 }
 
 AdaptationTrace GalaxyEmulator::run() {

@@ -10,11 +10,12 @@
 // highly dynamic (many small moving clumps) and ends localized and quiet
 // (a few massive systems), traversing the octant space in the opposite
 // direction to the RM3D shock problem.  Like the RM3D emulator, it feeds
-// real flag fields through the Berger–Rigoutsos clusterer.
+// real flag fields through the Berger–Rigoutsos clusterer, splatting each
+// clump over the cells it can reach (regrid.hpp).
 #pragma once
 
-#include "pragma/amr/cluster_br.hpp"
 #include "pragma/amr/hierarchy.hpp"
+#include "pragma/amr/regrid.hpp"
 #include "pragma/amr/trace.hpp"
 #include "pragma/util/rng.hpp"
 
@@ -44,6 +45,9 @@ struct Clump {
   double mass = 1.0;
   [[nodiscard]] double radius() const;   ///< normalized, ~mass^(1/3)
   [[nodiscard]] double density() const;  ///< indicator strength
+  /// The clump's indicator term: a quadratic bump of height density()
+  /// over radius().
+  [[nodiscard]] SphereFeature feature() const;
 };
 
 class GalaxyEmulator {
@@ -68,8 +72,6 @@ class GalaxyEmulator {
   [[nodiscard]] double indicator(double x, double y, double z) const;
 
  private:
-  [[nodiscard]] std::vector<Box> flag_and_cluster(int level);
-
   GalaxyConfig config_;
   GridHierarchy hierarchy_;
   std::vector<Clump> clumps_;

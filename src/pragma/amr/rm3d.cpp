@@ -21,14 +21,45 @@ constexpr double kReshockSpeed = 2.4;  // du/dtau of the reflected shock
 constexpr double kReshockEnd = 0.82;   // reshock absorbed by the mixing zone
 constexpr double kReshockHit = 0.80;   // reshock reaches the mixing zone
 constexpr double kInterface0 = 0.32;   // initial interface position
-
-/// Compact quadratic bump: s at distance 0, 0 beyond `radius`.
-double bump(double distance, double radius, double s) {
-  const double q = distance / radius;
-  const double v = 1.0 - q * q;
-  return v > 0.0 ? s * v : 0.0;
-}
 }  // namespace
+
+/// The indicator's scalar terms at one normalized time.  indicator() is
+/// the maximum of column(u) and the spherical terms for_each_sphere()
+/// yields, the gated ones only where in_mixing_zone(u).
+struct Rm3dEmulator::Features {
+  double tau = 0.0;
+  bool shock = false;
+  double shock_u = 0.0;
+  double mix_center = 0.0;
+  double mix_half = 0.0;
+  bool developed = false;  ///< the shock has hit the interface
+
+  [[nodiscard]] bool in_mixing_zone(double u) const {
+    return std::abs(u - mix_center) < mix_half * 1.25;
+  }
+
+  /// The terms that depend only on x: shock bands and mixing slab.
+  [[nodiscard]] double column(double u) const {
+    double ind = 0.0;
+    // Shock front: a thin finest-level core inside a wider level-1 band.
+    if (shock) {
+      const double dx = std::abs(u - shock_u);
+      ind = std::max(ind, bump(dx, 0.018, 2.6));
+      ind = std::max(ind, bump(dx, 0.050, 1.35));
+    }
+    // Material interface / mixing zone.
+    if (in_mixing_zone(u)) {
+      const double du = std::abs(u - mix_center);
+      // Quiescent perturbed interface: a compact level-1 slab (the
+      // perturbation amplitude is below the finest-level threshold until
+      // the shock arrives).  Developed mixing zone: a wider level-1 slab
+      // with embedded finest-level turbulent blobs.
+      ind = developed ? std::max(ind, bump(du, mix_half * 1.25, 1.55))
+                      : std::max(ind, bump(du, mix_half, 1.3));
+    }
+    return ind;
+  }
+};
 
 Rm3dEmulator::Rm3dEmulator(Rm3dConfig config)
     : config_(std::move(config)),
@@ -95,136 +126,75 @@ double Rm3dEmulator::mixing_width(double tau) const {
   return w;
 }
 
-double Rm3dEmulator::indicator(double u, double v, double w,
-                               double tau) const {
-  double ind = 0.0;
+Rm3dEmulator::Features Rm3dEmulator::features(double tau) const {
+  Features f;
+  f.tau = tau;
+  f.shock = shock_active(tau);
+  f.shock_u = shock_position(tau);
+  f.mix_center = mixing_center(tau);
+  f.mix_half = mixing_width(tau);
+  f.developed = tau >= kHitTime;
+  return f;
+}
 
+template <typename Fn>
+void Rm3dEmulator::for_each_sphere(const Features& f, Fn&& fn) const {
   // Initialization transient: the first error estimate tags scattered
   // pockets of start-up noise across the domain (they vanish by the first
   // regrid, giving the trace its initial scattered, high-churn snapshot).
-  if (tau < kStartupEnd) {
+  if (f.tau < kStartupEnd) {
     for (std::size_t b = 0; b < blobs_.size() && b < 40; ++b) {
       const TurbulentBlob& blob = blobs_[b];
-      const double nu = 0.05 + 0.90 * blob.v;
-      const double nv = blob.w;
-      const double nw = 0.5 * (blob.u + 1.0);
-      const double radius = 0.6 * blob.radius;
-      if (std::abs(u - nu) > radius || std::abs(v - nv) > radius ||
-          std::abs(w - nw) > radius)
-        continue;
-      const double r = std::sqrt((u - nu) * (u - nu) + (v - nv) * (v - nv) +
-                                 (w - nw) * (w - nw));
-      ind = std::max(ind, bump(r, radius, 1.4));
+      fn(SphereFeature{0.05 + 0.90 * blob.v, blob.w, 0.5 * (blob.u + 1.0),
+                       0.6 * blob.radius, 1.4},
+         /*gated=*/false);
     }
   }
-
-  // Shock front: a thin finest-level core inside a wider level-1 band.
-  if (shock_active(tau)) {
-    const double dx = std::abs(u - shock_position(tau));
-    ind = std::max(ind, bump(dx, 0.018, 2.6));
-    ind = std::max(ind, bump(dx, 0.050, 1.35));
-  }
-
-  // Material interface / mixing zone.
-  const double xc = mixing_center(tau);
-  const double half = mixing_width(tau);
-  const double du = std::abs(u - xc);
-  if (du < half * 1.25) {
-    if (tau < kHitTime) {
-      // Quiescent perturbed interface: a compact level-1 slab (the
-      // perturbation amplitude is below the finest-level threshold until
-      // the shock arrives).
-      ind = std::max(ind, bump(du, half, 1.3));
-    } else {
-      // Developed mixing zone: level-1 slab...
-      ind = std::max(ind, bump(du, half * 1.25, 1.55));
-      // ...with embedded finest-level turbulent blobs.
-      for (const TurbulentBlob& blob : blobs_) {
-        if (blob.birth > tau) continue;
-        const double age = tau - blob.birth;
-        const double bu = xc + blob.u * 0.85 * half;
-        const double bv = blob.v + blob.drift_v * age;
-        const double bw = blob.w + blob.drift_w * age;
-        // Cheap bounding reject before the radial test.
-        if (std::abs(u - bu) > blob.radius || std::abs(v - bv) > blob.radius ||
-            std::abs(w - bw) > blob.radius)
-          continue;
-        const double r = std::sqrt((u - bu) * (u - bu) + (v - bv) * (v - bv) +
-                                   (w - bw) * (w - bw));
-        ind = std::max(ind, bump(r, blob.radius, 2.7));
-      }
+  // Finest-level turbulent blobs embedded in the developed mixing zone.
+  if (f.developed) {
+    for (const TurbulentBlob& blob : blobs_) {
+      if (blob.birth > f.tau) continue;
+      const double age = f.tau - blob.birth;
+      fn(SphereFeature{f.mix_center + blob.u * 0.85 * f.mix_half,
+                       blob.v + blob.drift_v * age,
+                       blob.w + blob.drift_w * age, blob.radius, 2.7},
+         /*gated=*/true);
     }
   }
+}
+
+double Rm3dEmulator::indicator(double u, double v, double w,
+                               double tau) const {
+  const Features f = features(tau);
+  const bool in_zone = f.in_mixing_zone(u);
+  double ind = f.column(u);
+  for_each_sphere(f, [&](const SphereFeature& sphere, bool gated) {
+    if (!gated || in_zone) ind = std::max(ind, sphere.value(u, v, w));
+  });
   return ind;
 }
 
-std::vector<Box> Rm3dEmulator::flag_and_cluster(int level) {
-  const double tau = normalized_time();
-  const auto r = static_cast<int>(hierarchy_.cumulative_ratio(level));
-  const double nx = static_cast<double>(config_.base_dims.x * r);
-  const double ny = static_cast<double>(config_.base_dims.y * r);
-  const double nz = static_cast<double>(config_.base_dims.z * r);
-  const double threshold = config_.thresholds[static_cast<std::size_t>(level)];
-
-  // Flag within this level's existing coverage (whole domain for level 0).
-  std::vector<Box> coverage;
-  if (level == 0) {
-    coverage.push_back(hierarchy_.level_domain(0));
-  } else if (level < hierarchy_.num_levels()) {
-    coverage = hierarchy_.level(level).boxes;
-  } else {
-    return {};
+void Rm3dEmulator::flag(FlagPass& pass, double tau) const {
+  const Features f = features(tau);
+  const std::vector<double>& us = pass.centres(0);
+  std::vector<std::uint8_t> column(us.size());
+  std::vector<std::uint8_t> gate(us.size());
+  for (std::size_t x = 0; x < us.size(); ++x) {
+    column[x] = f.column(us[x]) >= pass.threshold();
+    gate[x] = f.in_mixing_zone(us[x]);
   }
-  if (coverage.empty()) return {};
-
-  const Box field_domain = bounding_box(coverage);
-  FlagField flags(field_domain);
-  for (const Box& box : coverage) {
-    for (int z = box.lo().z; z < box.hi().z; ++z) {
-      const double wn = (static_cast<double>(z) + 0.5) / nz;
-      for (int y = box.lo().y; y < box.hi().y; ++y) {
-        const double vn = (static_cast<double>(y) + 0.5) / ny;
-        for (int x = box.lo().x; x < box.hi().x; ++x) {
-          const double un = (static_cast<double>(x) + 0.5) / nx;
-          if (indicator(un, vn, wn, tau) >= threshold)
-            flags.set({x, y, z});
-        }
-      }
-    }
-  }
-  if (!flags.any()) return {};
-
-  // Clustering happens in level-`level` index space; the patch-size bound
-  // applies to the *emitted* level-(level+1) patches, so chop after
-  // refinement.
-  ClusterOptions options = config_.cluster;
-  options.max_box_cells = 0;
-  std::vector<Box> clustered = cluster_flags(flags, field_domain, options);
-  std::vector<Box> refined;
-  refined.reserve(clustered.size());
-  for (const Box& box : clustered) {
-    const Box fine = box.refine(config_.ratio);
-    if (config_.cluster.max_box_cells > 0 &&
-        fine.volume() > config_.cluster.max_box_cells) {
-      for (const Box& piece : fine.chop(config_.cluster.max_box_cells))
-        refined.push_back(piece);
-    } else {
-      refined.push_back(fine);
-    }
-  }
-  return refined;
+  pass.flag_columns(column);
+  for_each_sphere(f, [&](const SphereFeature& sphere, bool gated) {
+    pass.splat(sphere, gated ? &gate : nullptr);
+  });
 }
 
 void Rm3dEmulator::regrid() {
-  // Rebuild fine levels bottom-up from the indicator.  Level l+1 boxes come
-  // from flags on level l, so nesting holds by construction.
-  GridHierarchy fresh(config_.base_dims, config_.ratio, config_.max_levels);
-  hierarchy_ = std::move(fresh);
-  for (int level = 0; level + 1 < config_.max_levels; ++level) {
-    std::vector<Box> next = flag_and_cluster(level);
-    if (next.empty()) break;
-    hierarchy_.set_level_boxes(level + 1, std::move(next));
-  }
+  const double tau = normalized_time();
+  hierarchy_ = build_hierarchy(
+      config_.base_dims, config_.ratio, config_.max_levels,
+      config_.thresholds, config_.cluster,
+      [this, tau](FlagPass& pass) { flag(pass, tau); });
 }
 
 bool Rm3dEmulator::advance() {

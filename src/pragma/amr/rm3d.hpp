@@ -22,12 +22,14 @@
 // Refinement is driven by a deterministic analytic indicator function; the
 // flagged cells feed the real Berger–Rigoutsos clusterer to produce patch
 // boxes, exactly as an error estimator would in a production SAMR framework.
+// A regrid flags by scatter (see regrid.hpp): the shock and mixing-slab
+// terms once per x column, each live blob over the cells it can reach.
 #pragma once
 
 #include <vector>
 
-#include "pragma/amr/cluster_br.hpp"
 #include "pragma/amr/hierarchy.hpp"
+#include "pragma/amr/regrid.hpp"
 #include "pragma/amr/trace.hpp"
 #include "pragma/util/rng.hpp"
 
@@ -103,6 +105,11 @@ class Rm3dEmulator {
   [[nodiscard]] double indicator(double u, double v, double w,
                                  double tau) const;
 
+  /// The regrid's flag pass at normalized time tau: flags exactly the
+  /// covered cells whose centre has indicator(centre, tau) >= the pass
+  /// threshold.
+  void flag(FlagPass& pass, double tau) const;
+
   /// Phase descriptors (normalized time), exposed for tests/benches.
   [[nodiscard]] double shock_position(double tau) const;
   [[nodiscard]] bool shock_active(double tau) const;
@@ -114,8 +121,13 @@ class Rm3dEmulator {
   }
 
  private:
+  struct Features;
   void seed_blobs();
-  [[nodiscard]] std::vector<Box> flag_and_cluster(int level);
+  [[nodiscard]] Features features(double tau) const;
+  /// Calls fn(sphere, gated) for every spherical term live at f.tau;
+  /// gated terms apply only inside the mixing zone.
+  template <typename Fn>
+  void for_each_sphere(const Features& f, Fn&& fn) const;
 
   Rm3dConfig config_;
   GridHierarchy hierarchy_;

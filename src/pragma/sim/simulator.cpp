@@ -30,20 +30,21 @@ EventHandle Simulator::schedule_periodic(SimTime period, Callback fn,
   // handle stops all future occurrences.
   const std::uint64_t id = next_id_++;
   const SimTime delay = first_delay >= 0.0 ? first_delay : period;
-  // self-rescheduling closure; checks cancellation before firing
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, id, period, fn = std::move(fn), tick]() {
-    if (is_cancelled(id)) {
-      forget_cancelled(id);
-      return;
-    }
-    fn();
-    queue_.push(Event{now_ + period, next_sequence_++, id, *tick});
-    ++live_pending_;
-  };
-  queue_.push(Event{now_ + delay, next_sequence_++, id, *tick});
-  ++live_pending_;
+  push_periodic(now_ + delay, id, period,
+                std::make_shared<Callback>(std::move(fn)));
   return EventHandle{id};
+}
+
+void Simulator::push_periodic(SimTime at, std::uint64_t id, SimTime period,
+                              std::shared_ptr<Callback> fn) {
+  // Each occurrence owns the callback only while it is queued, so a chain
+  // that is cancelled or still pending when the simulator dies frees it.
+  // step() skips cancelled ids before an occurrence can fire.
+  queue_.push(Event{at, next_sequence_++, id, [this, id, period, fn] {
+                      (*fn)();
+                      push_periodic(now_ + period, id, period, fn);
+                    }});
+  ++live_pending_;
 }
 
 bool Simulator::cancel(EventHandle handle) {

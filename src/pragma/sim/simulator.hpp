@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <queue>
 #include <string>
 #include <vector>
@@ -95,6 +96,8 @@ class Simulator {
   std::size_t live_pending_ = 0;
   bool stop_requested_ = false;
 
+  void push_periodic(SimTime at, std::uint64_t id, SimTime period,
+                     std::shared_ptr<Callback> fn);
   bool is_cancelled(std::uint64_t id) const;
   void forget_cancelled(std::uint64_t id);
 };
