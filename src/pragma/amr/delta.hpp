@@ -5,9 +5,8 @@
 // proportion to *change*, not to hierarchy size.  A HierarchyDelta records,
 // per level, exactly which boxes disappeared and which appeared between two
 // GridHierarchy snapshots (a resized or moved box is one removal plus one
-// addition).  Consumers — WorkGrid::apply_delta and the incremental
-// communication-volume tracker — then touch only the grain cells those
-// boxes cover.  Deltas can be computed by diffing two snapshots
+// addition).  WorkGrid::apply_delta then touches only the grain cells
+// those boxes cover.  Deltas can be computed by diffing two snapshots
 // (diff_hierarchies, AdaptationTrace::delta) or emitted directly by an AMR
 // driver that already knows what it changed.
 #pragma once

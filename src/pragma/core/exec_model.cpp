@@ -1,98 +1,158 @@
 #include "pragma/core/exec_model.hpp"
 
 #include <algorithm>
-#include <set>
-#include <tuple>
 #include <stdexcept>
+
+#include "pragma/obs/tracer.hpp"
 
 namespace pragma::core {
 
-MappedLoad ExecutionModel::map(const partition::WorkGrid& grid,
-                               const partition::OwnerMap& owners,
-                               const std::vector<int>* proc_sites) const {
-  const auto nprocs = static_cast<std::size_t>(owners.nprocs);
+namespace {
 
-  MappedLoad mapped;
-  mapped.work = partition::processor_loads(grid, owners);
+/// Sum of `weight[l]` over the levels set in `mask`, in ascending level
+/// order.
+double fold_levels(const std::vector<double>& weight, std::uint32_t mask) {
+  double sum = 0.0;
+  for (std::size_t l = 0; l < weight.size(); ++l)
+    if ((mask >> l) & 1u) sum += weight[l];
+  return sum;
+}
 
-  std::vector<double> face_cells(nprocs, 0.0);
+/// The assignment sweep.  Faces are visited from their lower cell, x then y
+/// then z, with the past-the-boundary neighbour resolving to the cell
+/// itself (same owner, so nothing is charged); work and face traffic
+/// therefore accumulate in exactly the per-face order of a scalar sweep.
+/// `face_cost` and `fragment_cost` map a level mask to the face's ghost
+/// cells x substeps and to the boundary exchanges of the fragments
+/// starting there.  Every term is integer-valued, so pre-summing a mask's
+/// levels leaves each accumulator bitwise unchanged.
+template <typename FaceCost, typename FragmentCost>
+void sweep(const partition::WorkGrid& grid, const partition::OwnerMap& owners,
+           const std::vector<int>* proc_sites, FaceCost face_cost,
+           FragmentCost fragment_cost, std::vector<std::uint32_t>& wan_pairs,
+           MappedLoad& mapped) {
+  const int* owner = owners.owner.data();
+  const std::uint32_t* levels = grid.levels().data();
+  double* work = mapped.work.data();
+  double* face_cells = mapped.face_cells.data();
   const amr::IntVec3 dims = grid.lattice_dims();
-  const int g = grid.grain();
-  // Cross-site exchanges: one WAN message per (proc pair, level) per
-  // substep, not per face.
-  std::set<std::tuple<int, int, int>> wan_exchanges;
-
-  auto visit_face = [&](std::size_t a, std::size_t b) {
-    const int pa = owners.owner[a];
-    const int pb = owners.owner[b];
-    if (pa == pb) return;
-    const std::uint32_t shared =
-        grid.levels_present(a) & grid.levels_present(b);
-    if (shared == 0) return;
-    const bool cross_site =
-        proc_sites != nullptr &&
-        (*proc_sites)[static_cast<std::size_t>(pa)] !=
-            (*proc_sites)[static_cast<std::size_t>(pb)];
-    double cost = 0.0;
-    double r = 1.0;
-    for (int l = 0; l < grid.num_levels(); ++l) {
-      if (shared & (1u << l)) {
-        const double edge = static_cast<double>(g) * r;
-        cost += edge * edge * r;  // face cells x substeps
-        if (cross_site &&
-            wan_exchanges.insert({std::min(pa, pb), std::max(pa, pb), l})
-                .second)
-          mapped.wan_messages += r;  // substeps of this level
-      }
-      r *= static_cast<double>(grid.ratio());
-    }
-    face_cells[static_cast<std::size_t>(pa)] += cost;
-    face_cells[static_cast<std::size_t>(pb)] += cost;
-    if (cross_site) mapped.wan_face_cells += cost;
-  };
-
-  for (int z = 0; z < dims.z; ++z)
-    for (int y = 0; y < dims.y; ++y)
+  const std::size_t sy = static_cast<std::size_t>(dims.x);
+  const std::size_t sz = sy * static_cast<std::size_t>(dims.y);
+  const std::size_t nprocs = mapped.nprocs();
+  double total = 0.0;
+  // The current owner run's work total stays in a register (loaded at the
+  // run's start, stored at its end), so the adds still happen in cell
+  // order.
+  int run_owner = -1;
+  double run_work = 0.0;
+  for (int z = 0; z < dims.z; ++z) {
+    const std::size_t zstep = z + 1 < dims.z ? sz : 0;
+    for (int y = 0; y < dims.y; ++y) {
+      const std::size_t ystep = y + 1 < dims.y ? sy : 0;
+      const std::size_t base =
+          sy * static_cast<std::size_t>(y) + sz * static_cast<std::size_t>(z);
       for (int x = 0; x < dims.x; ++x) {
-        const std::size_t c = grid.linear({x, y, z});
-        if (x + 1 < dims.x) visit_face(c, grid.linear({x + 1, y, z}));
-        if (y + 1 < dims.y) visit_face(c, grid.linear({x, y + 1, z}));
-        if (z + 1 < dims.z) visit_face(c, grid.linear({x, y, z + 1}));
+        const std::size_t c = base + static_cast<std::size_t>(x);
+        const int oc = owner[c];
+        const std::uint32_t lc = levels[c];
+        if (oc != run_owner) {
+          if (run_owner >= 0) work[run_owner] = run_work;
+          run_owner = oc;
+          run_work = work[oc];
+        }
+        run_work += grid.work(c);
+        const auto visit = [&](std::size_t n) {
+          const int on = owner[n];
+          if (on == oc) return;
+          const std::uint32_t shared = lc & levels[n];
+          const double cost = face_cost(shared);
+          face_cells[oc] += cost;
+          face_cells[on] += cost;
+          total += cost;
+          if (proc_sites != nullptr && (*proc_sites)[oc] != (*proc_sites)[on]) {
+            mapped.wan_face_cells += cost;
+            wan_pairs[static_cast<std::size_t>(std::min(oc, on)) * nprocs +
+                      static_cast<std::size_t>(std::max(oc, on))] |= shared;
+          }
+        };
+        visit(c + static_cast<std::size_t>(x + 1 < dims.x));
+        visit(c + ystep);
+        visit(c + zstep);
       }
-
-  mapped.face_cells = std::move(face_cells);
+    }
+  }
+  if (run_owner >= 0) work[run_owner] = run_work;
+  mapped.comm_volume = total;
 
   // Message count = per-level ownership fragmentation: the number of
   // maximal same-owner runs of level-l cells along the SFC order, per
   // substep.  Each fragment is a patch piece with its own ghost exchanges
   // and metadata — this is where fine-grain partitioning of scattered
-  // refinement patterns pays its "partitioning induced overheads".
-  mapped.messages.assign(nprocs, 0.0);
-  std::vector<double> substeps(static_cast<std::size_t>(grid.num_levels()));
-  {
-    double r = 1.0;
-    for (int l = 0; l < grid.num_levels(); ++l) {
-      substeps[static_cast<std::size_t>(l)] = r;
-      r *= static_cast<double>(grid.ratio());
-    }
-  }
+  // refinement patterns pays its "partitioning induced overheads".  A
+  // level's fragment starts where the owner changes or the level appears.
   int prev_owner = -1;
   std::uint32_t prev_levels = 0;
   for (std::uint32_t c : grid.order()) {
-    const int owner = owners.owner[c];
-    const std::uint32_t levels = grid.levels_present(c);
-    for (int l = 0; l < grid.num_levels(); ++l) {
-      const bool now = (levels >> l) & 1u;
-      const bool before = owner == prev_owner && ((prev_levels >> l) & 1u);
-      // A fragment of level l starts here: two boundary exchanges per
-      // substep of that level.
-      if (now && !before)
-        mapped.messages[static_cast<std::size_t>(owner)] +=
-            2.0 * substeps[static_cast<std::size_t>(l)];
-    }
-    prev_owner = owner;
-    prev_levels = levels;
+    const int o = owner[c];
+    const std::uint32_t l = levels[c];
+    const bool continues = o == prev_owner;
+    mapped.fragments += continues ? 0 : 1;
+    const std::uint32_t starts = continues ? l & ~prev_levels : l;
+    if (starts != 0)
+      mapped.messages[static_cast<std::size_t>(o)] += fragment_cost(starts);
+    prev_owner = o;
+    prev_levels = l;
   }
+}
+
+}  // namespace
+
+MappedLoad ExecutionModel::map(const partition::WorkGrid& grid,
+                               const partition::OwnerMap& owners,
+                               const std::vector<int>* proc_sites) const {
+  PRAGMA_SPAN("core", "ExecutionModel.map");
+  partition::validate_owners("ExecutionModel::map", grid, owners);
+  const auto nprocs = static_cast<std::size_t>(owners.nprocs);
+  MappedLoad mapped;
+  mapped.work.assign(nprocs, 0.0);
+  mapped.face_cells.assign(nprocs, 0.0);
+  mapped.messages.assign(nprocs, 0.0);
+
+  // Per level: substeps per coarse step, and a fragment's two boundary
+  // exchanges per substep.
+  std::vector<double> substeps(static_cast<std::size_t>(grid.num_levels()));
+  std::vector<double> fragment(substeps.size());
+  double r = 1.0;
+  for (std::size_t l = 0; l < substeps.size(); ++l) {
+    substeps[l] = r;
+    fragment[l] = 2.0 * r;
+    r *= static_cast<double>(grid.ratio());
+  }
+  // Cross-site exchanges: one WAN message per (proc pair, level) per
+  // substep, not per face — the levels each pair shares across sites.
+  std::vector<std::uint32_t> wan_pairs(
+      proc_sites != nullptr ? nprocs * nprocs : 0, 0u);
+
+  const std::vector<double> face_table = partition::face_cost_table(grid);
+  if (!face_table.empty()) {
+    std::vector<double> fragment_table(face_table.size());
+    for (std::size_t mask = 0; mask < fragment_table.size(); ++mask)
+      fragment_table[mask] =
+          fold_levels(fragment, static_cast<std::uint32_t>(mask));
+    sweep(
+        grid, owners, proc_sites,
+        [&](std::uint32_t mask) { return face_table[mask]; },
+        [&](std::uint32_t mask) { return fragment_table[mask]; }, wan_pairs,
+        mapped);
+  } else {
+    sweep(
+        grid, owners, proc_sites,
+        [&](std::uint32_t mask) { return partition::face_cost(grid, mask); },
+        [&](std::uint32_t mask) { return fold_levels(fragment, mask); },
+        wan_pairs, mapped);
+  }
+  for (const std::uint32_t shared : wan_pairs)
+    mapped.wan_messages += fold_levels(substeps, shared);
   return mapped;
 }
 
@@ -151,6 +211,7 @@ double ExecutionModel::migration_time(const partition::WorkGrid& grid,
                                       const partition::OwnerMap& previous,
                                       const partition::OwnerMap& current,
                                       const grid::Cluster& cluster) const {
+  PRAGMA_SPAN("core", "ExecutionModel.migration_time");
   if (previous.owner.size() != current.owner.size())
     throw std::invalid_argument("migration_time: lattice mismatch");
   const auto nprocs = static_cast<std::size_t>(

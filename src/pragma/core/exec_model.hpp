@@ -45,8 +45,10 @@ struct StepTime {
 };
 
 /// State-independent mapping of an assignment: per-processor work,
-/// ghost-face traffic and message counts.  Computed once per partition and
-/// then timed against any (time-varying) cluster state.
+/// ghost-face traffic and message counts, plus the assignment-wide
+/// communication volume and fragment count that the PAC metric reads.
+/// Computed once per (grid, owners) pair and then timed against any
+/// (time-varying) cluster state.
 struct MappedLoad {
   std::vector<double> work;        ///< cell-updates per coarse step
   std::vector<double> face_cells;  ///< ghost-face cells per coarse step
@@ -59,6 +61,12 @@ struct MappedLoad {
   /// messages crossing site boundaries (charged against the shared WAN).
   double wan_face_cells = 0.0;
   double wan_messages = 0.0;
+  /// Total inter-processor ghost-exchange volume, bitwise equal to
+  /// partition::communication_volume of the same assignment.
+  double comm_volume = 0.0;
+  /// Maximal same-owner runs along the SFC order (the PAC overhead term's
+  /// fragment count).
+  std::size_t fragments = 0;
   [[nodiscard]] std::size_t nprocs() const { return work.size(); }
 };
 
@@ -68,10 +76,13 @@ class ExecutionModel {
 
   [[nodiscard]] const ExecModelConfig& config() const { return config_; }
 
-  /// Precompute the per-processor load/traffic of an assignment.  When
+  /// Precompute the per-processor load/traffic of an assignment in one
+  /// stride-neighbour sweep over the lattice faces and one pass along the
+  /// SFC order, both looking their costs up by level mask.  When
   /// `proc_sites` is given (federated grids: site of the node each
   /// processor runs on), cross-site ghost traffic is tallied separately
-  /// for the WAN charge.
+  /// for the WAN charge.  Throws std::invalid_argument when the owner map
+  /// does not cover the grid.
   [[nodiscard]] MappedLoad map(
       const partition::WorkGrid& grid, const partition::OwnerMap& owners,
       const std::vector<int>* proc_sites = nullptr) const;

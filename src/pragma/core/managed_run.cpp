@@ -590,10 +590,14 @@ ManagedRunReport ManagedRun::run() {
     step_span.annotate("step", static_cast<std::int64_t>(emulator_.step()));
     const bool regridded = emulator_.advance();
     if (regridded) {
-      trace_.add(amr::Snapshot{emulator_.step(), emulator_.hierarchy()});
+      {
+        PRAGMA_SPAN("core", "ManagedRun.record_snapshot");
+        trace_.add(amr::Snapshot{emulator_.step(), emulator_.hierarchy()});
+      }
       ++report_.regrids;
       repartition(/*count_as_regrid=*/true);
 
+      PRAGMA_SPAN("core", "ManagedRun.regrid_record");
       ManagedStepRecord record;
       record.step = emulator_.step();
       const Selection& selection = meta_->history().back();
@@ -603,8 +607,8 @@ ManagedRunReport ManagedRun::run() {
       record.live_nodes = cluster_.up_count();
       record.repartitioned = true;
       const std::vector<double> targets = current_targets();
-      const std::vector<double> loads =
-          partition::processor_loads(*canonical_, owners_);
+      // repartition() just mapped owners_ onto *canonical_.
+      const std::vector<double>& loads = mapped_.work;
       double worst = 0.0;
       for (std::size_t p = 0; p < loads.size(); ++p)
         if (targets[p] > 0.0)
@@ -618,7 +622,10 @@ ManagedRunReport ManagedRun::run() {
     // holding work has failed, the application stalls until the control
     // network reacts (sensing or heartbeat timeout, consolidation, migrate
     // directive) — detection latency is paid right here.
-    StepTime step = model_.time_of(mapped_, cluster_);
+    StepTime step = [&] {
+      PRAGMA_SPAN("core", "ManagedRun.time_step");
+      return model_.time_of(mapped_, cluster_);
+    }();
     int stall_guard = 0;
     while (!std::isfinite(step.total_s) && stall_guard < 600) {
       const double before = simulator_.now();
@@ -643,7 +650,10 @@ ManagedRunReport ManagedRun::run() {
     report_.total_time_s += step.total_s;
     if (!report_.records.empty())
       report_.records.back().step_time_s = step.total_s;
-    simulator_.run(simulator_.now() + step.total_s);
+    {
+      PRAGMA_SPAN("core", "ManagedRun.simulate");
+      simulator_.run(simulator_.now() + step.total_s);
+    }
     ++completed_steps_;
     if (config_.account != nullptr) {
       config_.account->charge_cpu(step.total_s);

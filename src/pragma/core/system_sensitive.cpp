@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "pragma/monitor/resource_monitor.hpp"
+#include "pragma/obs/tracer.hpp"
 #include "pragma/partition/partitioner.hpp"
 #include "pragma/sim/simulator.hpp"
 #include "pragma/util/stats.hpp"
@@ -12,6 +13,8 @@ namespace pragma::core {
 
 SystemSensitiveResult run_system_sensitive_experiment(
     const amr::AdaptationTrace& trace, const SystemSensitiveConfig& config) {
+  PRAGMA_SPAN_VAR(span, "core", "SystemSensitive.run");
+  span.annotate("nprocs", config.nprocs);
   // ---- Testbed: heterogeneous commodity cluster + synthetic load + NWS.
   sim::Simulator simulator;
   util::Rng cluster_rng(config.seed, 1);

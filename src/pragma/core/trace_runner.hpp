@@ -45,11 +45,10 @@ struct TraceRunConfig {
   /// path, bitwise-identical to pre-threading replays.
   int threads = 0;
   /// Derive each snapshot's work grids from the previous snapshot's via the
-  /// hierarchy delta (WorkGridCache::get_or_update) and maintain the
-  /// communication volume incrementally, instead of rebuilding both from
-  /// scratch at every snapshot.  Both incremental paths are
-  /// bitwise-identical to the full ones, so summaries are unchanged; turn
-  /// off to force the full-rebuild oracle (as the perf bench does when
+  /// hierarchy delta (WorkGridCache::get_or_update) instead of rebuilding
+  /// them from scratch at every snapshot.  The delta path is
+  /// bitwise-identical to the rebuild, so summaries are unchanged; turn off
+  /// to force the full-rebuild oracle (as the perf bench does when
   /// measuring the two curves).
   bool incremental_workgrid = true;
   /// When > 0, charge partitioning as cells * this instead of the

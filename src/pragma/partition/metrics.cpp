@@ -11,22 +11,10 @@
 namespace pragma::partition {
 
 namespace {
-/// Shared guard for the per-processor accumulators: the owner map must
-/// cover every grain cell and every owner must be a valid processor, or
-/// the accumulation loops index out of bounds.
-void validate_owners(const char* who, const WorkGrid& grid,
-                     const OwnerMap& owners) {
-  if (owners.owner.size() != grid.cell_count())
-    throw std::invalid_argument(std::string(who) + ": size mismatch");
-  for (int owner : owners.owner)
-    if (owner < 0 || owner >= owners.nprocs)
-      throw std::invalid_argument(std::string(who) + ": owner out of range");
-}
-
 /// Cost of one lattice face whose sides share the levels in `mask`: a
 /// level-l face is (g r^l)^2 cells, exchanged r^l times per coarse step.
-/// Terms fold in ascending level order — the table builder and the
-/// incremental tracker must repeat this association bit for bit.
+/// Terms fold in ascending level order — the table builder must repeat
+/// this association bit for bit.
 double face_cost_scalar(std::uint32_t mask, int g, int num_levels,
                         int ratio) {
   double cost = 0.0;
@@ -87,6 +75,15 @@ double sweep_slab_table(const int* owner, const std::uint32_t* levels,
   return slab_total;
 }
 }  // namespace
+
+void validate_owners(const char* who, const WorkGrid& grid,
+                     const OwnerMap& owners) {
+  if (owners.owner.size() != grid.cell_count())
+    throw std::invalid_argument(std::string(who) + ": size mismatch");
+  for (int owner : owners.owner)
+    if (owner < 0 || owner >= owners.nprocs)
+      throw std::invalid_argument(std::string(who) + ": owner out of range");
+}
 
 std::vector<double> processor_loads(const WorkGrid& grid,
                                     const OwnerMap& owners) {
@@ -169,103 +166,28 @@ double communication_volume(const WorkGrid& grid, const OwnerMap& owners,
   return total;
 }
 
-bool IncrementalCommVolume::shape_matches(const WorkGrid& grid) const {
-  const amr::IntVec3 d = grid.lattice_dims();
-  return d.x == dims_.x && d.y == dims_.y && d.z == dims_.z &&
-         grain_ == grid.grain() && num_levels_ == grid.num_levels() &&
-         ratio_ == grid.ratio();
+std::vector<double> face_cost_table(const WorkGrid& grid) {
+  if (grid.num_levels() > kCommTableMaxLevels) return {};
+  return build_cost_table(grid.grain(), grid.num_levels(), grid.ratio());
 }
 
-void IncrementalCommVolume::reset(const WorkGrid& grid,
-                                  const OwnerMap& owners) {
-  validate_owners("IncrementalCommVolume::reset", grid, owners);
-  dims_ = grid.lattice_dims();
-  grain_ = grid.grain();
-  num_levels_ = grid.num_levels();
-  ratio_ = grid.ratio();
-  prev_owner_ = owners.owner;
-  prev_levels_ = grid.levels();
-  table_ = num_levels_ <= kCommTableMaxLevels
-               ? build_cost_table(grain_, num_levels_, ratio_)
-               : std::vector<double>{};
-
-  const std::size_t count = grid.cell_count();
-  face_.assign(count * 3, 0.0);
-  const std::size_t sy = static_cast<std::size_t>(dims_.x);
-  const std::size_t sz = sy * static_cast<std::size_t>(dims_.y);
-  const auto cost = [&](std::size_t a, std::size_t b) {
-    if (prev_owner_[a] == prev_owner_[b]) return 0.0;
-    const std::uint32_t mask = prev_levels_[a] & prev_levels_[b];
-    return table_.empty()
-               ? face_cost_scalar(mask, grain_, num_levels_, ratio_)
-               : table_[mask];
-  };
-  // Prime the total with the serial sweep's fold order (z, y, x cells;
-  // x, y, z faces per cell) so it starts bitwise-identical to
-  // communication_volume.
-  total_ = 0.0;
-  for (int z = 0; z < dims_.z; ++z)
-    for (int y = 0; y < dims_.y; ++y)
-      for (int x = 0; x < dims_.x; ++x) {
-        const std::size_t c = static_cast<std::size_t>(x) +
-                              sy * static_cast<std::size_t>(y) +
-                              sz * static_cast<std::size_t>(z);
-        if (x + 1 < dims_.x) total_ += face_[c * 3 + 0] = cost(c, c + 1);
-        if (y + 1 < dims_.y) total_ += face_[c * 3 + 1] = cost(c, c + sy);
-        if (z + 1 < dims_.z) total_ += face_[c * 3 + 2] = cost(c, c + sz);
-      }
+double face_cost(const WorkGrid& grid, std::uint32_t mask) {
+  return face_cost_scalar(mask, grid.grain(), grid.num_levels(),
+                          grid.ratio());
 }
 
-double IncrementalCommVolume::update(const WorkGrid& grid,
-                                     const OwnerMap& owners) {
-  if (!primed() || !shape_matches(grid) ||
-      owners.owner.size() != prev_owner_.size()) {
-    reset(grid, owners);
-    return total_;
+double load_imbalance(std::span<const double> loads,
+                      std::span<const double> targets, double total_work) {
+  double tsum = 0.0;
+  for (double t : targets) tsum += t;
+  if (tsum <= 0.0) tsum = 1.0;
+  double worst = 0.0;
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    const double share = targets[i] / tsum;
+    if (share <= 0.0) continue;
+    worst = std::max(worst, loads[i] / (share * total_work));
   }
-  validate_owners("IncrementalCommVolume::update", grid, owners);
-  PRAGMA_SPAN_VAR(span, "partition", "communication_volume.incremental");
-
-  const std::vector<std::uint32_t>& levels = grid.levels();
-  const std::size_t count = prev_owner_.size();
-  const std::size_t sy = static_cast<std::size_t>(dims_.x);
-  const std::size_t sz = sy * static_cast<std::size_t>(dims_.y);
-  const auto cost = [&](std::size_t a, std::size_t b) {
-    if (owners.owner[a] == owners.owner[b]) return 0.0;
-    const std::uint32_t mask = levels[a] & levels[b];
-    return table_.empty()
-               ? face_cost_scalar(mask, grain_, num_levels_, ratio_)
-               : table_[mask];
-  };
-  // Re-evaluating a face is idempotent (second visit contributes new - new
-  // = 0), so both endpoints of a face may independently trigger it without
-  // any dedup bookkeeping.  The += of integer-valued deltas is exact, so
-  // total_ stays equal to the full sweep bit for bit.
-  const auto refresh = [&](std::size_t cell, std::size_t axis,
-                           std::size_t neighbor) {
-    const std::size_t f = cell * 3 + axis;
-    const double fresh = cost(cell, neighbor);
-    total_ += fresh - face_[f];
-    face_[f] = fresh;
-  };
-  std::size_t changed = 0;
-  for (std::size_t c = 0; c < count; ++c) {
-    if (owners.owner[c] == prev_owner_[c] && levels[c] == prev_levels_[c])
-      continue;
-    ++changed;
-    const amr::IntVec3 p = grid.coords(c);
-    if (p.x + 1 < dims_.x) refresh(c, 0, c + 1);
-    if (p.y + 1 < dims_.y) refresh(c, 1, c + sy);
-    if (p.z + 1 < dims_.z) refresh(c, 2, c + sz);
-    if (p.x > 0) refresh(c - 1, 0, c);
-    if (p.y > 0) refresh(c - sy, 1, c);
-    if (p.z > 0) refresh(c - sz, 2, c);
-    prev_owner_[c] = owners.owner[c];
-    prev_levels_[c] = levels[c];
-  }
-  span.annotate("changed_cells", changed);
-  span.annotate("cells", count);
-  return total_;
+  return total_work > 0.0 ? std::max(0.0, worst - 1.0) : 0.0;
 }
 
 double migration_fraction(const WorkGrid& grid, const OwnerMap& previous,
@@ -283,30 +205,14 @@ double migration_fraction(const WorkGrid& grid, const OwnerMap& previous,
 
 PacMetrics evaluate_pac(const WorkGrid& grid, const PartitionResult& result,
                         std::span<const double> targets,
-                        const OwnerMap* previous, int threads,
-                        IncrementalCommVolume* comm_tracker) {
+                        const OwnerMap* previous, int threads) {
   validate_owners("evaluate_pac", grid, result.owners);
   if (targets.size() != static_cast<std::size_t>(result.owners.nprocs))
     throw std::invalid_argument("evaluate_pac: targets/nprocs mismatch");
   PacMetrics metrics;
-
-  const std::vector<double> loads = processor_loads(grid, result.owners);
-  double tsum = 0.0;
-  for (double t : targets) tsum += t;
-  if (tsum <= 0.0) tsum = 1.0;
-  const double total = grid.total_work();
-  double worst = 0.0;
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    const double share = targets[i] / tsum;
-    if (share <= 0.0) continue;
-    worst = std::max(worst, loads[i] / (share * total));
-  }
-  metrics.load_imbalance = total > 0.0 ? std::max(0.0, worst - 1.0) : 0.0;
-
-  metrics.communication =
-      comm_tracker != nullptr
-          ? comm_tracker->update(grid, result.owners)
-          : communication_volume(grid, result.owners, threads);
+  metrics.load_imbalance = load_imbalance(
+      processor_loads(grid, result.owners), targets, grid.total_work());
+  metrics.communication = communication_volume(grid, result.owners, threads);
   metrics.partition_time = result.partition_seconds;
   if (previous != nullptr)
     metrics.data_migration = migration_fraction(grid, *previous,

@@ -35,6 +35,11 @@ struct PacMetrics {
   double overhead = 0.0;
 };
 
+/// Throws std::invalid_argument (naming `who`) unless the owner map covers
+/// every grain cell of `grid` with an owner in [0, nprocs).
+void validate_owners(const char* who, const WorkGrid& grid,
+                     const OwnerMap& owners);
+
 /// Per-processor work loads of an assignment.  Throws std::invalid_argument
 /// when the owner map does not cover the grid or an owner is out of range.
 [[nodiscard]] std::vector<double> processor_loads(const WorkGrid& grid,
@@ -59,49 +64,19 @@ struct PacMetrics {
 [[nodiscard]] double reference_communication_volume(const WorkGrid& grid,
                                                     const OwnerMap& owners);
 
-/// Incrementally maintained communication volume.  A trace replay's owner
-/// map and level masks change only near regrid activity, so instead of
-/// re-sweeping every lattice face the tracker stores the cost of each face
-/// and, on update, recomputes just the faces incident to cells whose owner
-/// or level mask changed.  All face costs are integer-valued (powers of the
-/// refinement ratio times the squared grain edge), so the subtract/re-add
-/// bookkeeping is exact and total() always equals the full sweep bit for
-/// bit.  reset() primes the tracker with a slab-order fold matching the
-/// serial sweep's association.
-class IncrementalCommVolume {
- public:
-  IncrementalCommVolume() = default;
+/// Ghost-face cost of every shared level mask, indexed by mask: a level-l
+/// face is (g r^l)^2 cells exchanged r^l times per coarse step, folded in
+/// ascending level order.  The table-driven sweeps look faces up here; it
+/// is empty for grids too deep for a 2^levels table, whose faces fold per
+/// call through face_cost.
+[[nodiscard]] std::vector<double> face_cost_table(const WorkGrid& grid);
+[[nodiscard]] double face_cost(const WorkGrid& grid, std::uint32_t mask);
 
-  /// Prime from scratch over `grid`/`owners`.  total() afterwards is
-  /// bitwise-identical to communication_volume(grid, owners, 1).
-  void reset(const WorkGrid& grid, const OwnerMap& owners);
-
-  /// Refresh after owner/level changes and return total().  Recomputes only
-  /// the faces incident to changed cells; falls back to reset() when the
-  /// lattice shape, grain, or level structure changed.  Throws
-  /// std::invalid_argument when the owner map does not cover the grid.
-  double update(const WorkGrid& grid, const OwnerMap& owners);
-
-  /// Current communication volume (0 until primed).
-  [[nodiscard]] double total() const { return total_; }
-  [[nodiscard]] bool primed() const { return !face_.empty(); }
-
- private:
-  [[nodiscard]] bool shape_matches(const WorkGrid& grid) const;
-
-  amr::IntVec3 dims_{0, 0, 0};
-  int grain_ = 0;
-  int num_levels_ = 0;
-  int ratio_ = 0;
-  std::vector<int> prev_owner_;
-  std::vector<std::uint32_t> prev_levels_;
-  /// Cost of the +x, +y, +z faces of each cell (3 per cell; 0 past the
-  /// lattice boundary).
-  std::vector<double> face_;
-  /// Shared-level-mask -> face cost (see communication_volume).
-  std::vector<double> table_;
-  double total_ = 0.0;
-};
+/// The PAC load-imbalance term: max_i(loads_i / (share_i * total_work)) - 1
+/// with shares normalized by their sum, clamped at 0.
+[[nodiscard]] double load_imbalance(std::span<const double> loads,
+                                    std::span<const double> targets,
+                                    double total_work);
 
 /// Storage fraction that changed owner between two assignments over the
 /// same lattice.
@@ -112,15 +87,11 @@ class IncrementalCommVolume {
 /// Evaluate the full 5-component metric.  `previous` may be null.  Throws
 /// std::invalid_argument when the owner map does not cover the grid or
 /// targets.size() != nprocs.  `threads` parallelizes the communication
-/// sweep (see communication_volume).  When `comm_tracker` is non-null the
-/// communication component comes from the tracker's incremental update
-/// (exact — see IncrementalCommVolume) instead of a full face sweep.
+/// sweep (see communication_volume).
 [[nodiscard]] PacMetrics evaluate_pac(const WorkGrid& grid,
                                       const PartitionResult& result,
                                       std::span<const double> targets,
                                       const OwnerMap* previous = nullptr,
-                                      int threads = 1,
-                                      IncrementalCommVolume* comm_tracker =
-                                          nullptr);
+                                      int threads = 1);
 
 }  // namespace pragma::partition

@@ -14,25 +14,27 @@ CliFlags::CliFlags(std::string program_description)
 
 void CliFlags::add_int(const std::string& name, long long default_value,
                        const std::string& help) {
-  flags_[name] = Flag{Type::kInt, help, std::to_string(default_value)};
+  flags_[name] =
+      Flag{Type::kInt, help, std::to_string(default_value), false, {}};
 }
 
 void CliFlags::add_double(const std::string& name, double default_value,
                           const std::string& help) {
   std::ostringstream os;
   os << default_value;
-  flags_[name] = Flag{Type::kDouble, help, os.str()};
+  flags_[name] = Flag{Type::kDouble, help, os.str(), false, {}};
 }
 
 void CliFlags::add_bool(const std::string& name, bool default_value,
                         const std::string& help) {
-  flags_[name] = Flag{Type::kBool, help, default_value ? "true" : "false"};
+  flags_[name] =
+      Flag{Type::kBool, help, default_value ? "true" : "false", false, {}};
 }
 
 void CliFlags::add_string(const std::string& name,
                           const std::string& default_value,
                           const std::string& help) {
-  flags_[name] = Flag{Type::kString, help, default_value};
+  flags_[name] = Flag{Type::kString, help, default_value, false, {}};
 }
 
 bool CliFlags::parse(int argc, const char* const* argv) {

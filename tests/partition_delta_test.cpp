@@ -1,6 +1,7 @@
 // Property tests for the incremental partitioning pipeline: hierarchy
 // deltas, WorkGrid::apply_delta vs from-scratch rebuilds (bitwise), the
-// bounded LRU work-grid cache, and the incremental communication tracker.
+// bounded LRU work-grid cache, and the assignment sweep's communication
+// total across regrids.
 #include "pragma/amr/delta.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <cstring>
 #include <vector>
 
+#include "pragma/core/exec_model.hpp"
 #include "pragma/partition/metrics.hpp"
 #include "pragma/partition/partitioner.hpp"
 #include "pragma/partition/workgrid.hpp"
@@ -297,20 +299,20 @@ TEST(WorkGridCache, GetOrUpdateFallsBackWithoutPreviousEntry) {
   EXPECT_EQ(cache.stats().full_builds, 1u);
 }
 
-TEST(IncrementalCommVolume, TracksFullSweepBitwiseAcrossRegrids) {
+TEST(AssignmentSweep, CommVolumeMatchesReferenceAcrossRegrids) {
   util::Rng rng(31);
   const auto partitioner = make_partitioner("G-MISP+SP");
   const auto targets = equal_targets(8);
+  const core::ExecutionModel model;
 
   amr::GridHierarchy current = random_hierarchy(rng);
-  IncrementalCommVolume tracker;
   for (int round = 0; round < 10; ++round) {
     const WorkGrid grid(current, kGrain);
     const OwnerMap owners = partitioner->partition(grid, targets).owners;
-    const double tracked = tracker.update(grid, owners);
+    const double fused = model.map(grid, owners).comm_volume;
     const double swept = communication_volume(grid, owners, 1);
     const double reference = reference_communication_volume(grid, owners);
-    ASSERT_EQ(std::memcmp(&tracked, &swept, sizeof(double)), 0)
+    ASSERT_EQ(std::memcmp(&fused, &reference, sizeof(double)), 0)
         << "round " << round;
     ASSERT_EQ(std::memcmp(&swept, &reference, sizeof(double)), 0)
         << "round " << round;
