@@ -6,10 +6,9 @@
 //
 // In addition to the google-benchmark suite, main() first runs a small
 // fixed harness over the hot pipeline kernels — prefix-sum splitters vs the
-// reference scan kernels, serial vs parallel WorkGrid build and
-// communication sweep — and writes the results to
-// BENCH_partition_pipeline.json (name -> ns/op, cells, threads) so runs can
-// be diffed mechanically.
+// reference scan kernels, the WorkGrid build and the communication sweep —
+// and writes the results to BENCH_partition_pipeline.json (name -> ns/op,
+// cells) so runs can be diffed mechanically.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -27,7 +26,6 @@
 #include "pragma/core/exec_model.hpp"
 #include "pragma/partition/metrics.hpp"
 #include "pragma/util/table.hpp"
-#include "pragma/util/thread_pool.hpp"
 
 using namespace pragma;
 
@@ -89,18 +87,12 @@ void BM_SplitterReference(
 
 void BM_WorkGridBuild(benchmark::State& state) {
   const int grain = static_cast<int>(state.range(0));
-  // thread arg 0 = auto (hardware_concurrency), 1 = the serial path
-  const int threads =
-      util::resolve_threads(static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(partition::WorkGrid(
-        sample_hierarchy(), grain, partition::CurveKind::kHilbert, threads));
+    benchmark::DoNotOptimize(partition::WorkGrid(sample_hierarchy(), grain));
   }
 }
 
 void BM_PacMetrics(benchmark::State& state) {
-  const int threads =
-      util::resolve_threads(static_cast<int>(state.range(0)));
   const auto partitioner = partition::make_partitioner("G-MISP+SP");
   const partition::WorkGrid grid(sample_hierarchy(),
                                  partitioner->preferred_grain(),
@@ -110,7 +102,7 @@ void BM_PacMetrics(benchmark::State& state) {
       partitioner->partition(grid, targets);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        partition::evaluate_pac(grid, result, targets, nullptr, threads));
+        partition::evaluate_pac(grid, result, targets));
   }
 }
 
@@ -130,7 +122,6 @@ struct PipelineEntry {
   std::string name;
   double ns_per_op = 0.0;
   std::size_t cells = 0;
-  int threads = 1;
 };
 
 /// Time `fn` with a plain steady_clock loop: one warm-up call, then batches
@@ -158,8 +149,7 @@ bool write_pipeline_json(const std::vector<PipelineEntry>& entries,
   for (const PipelineEntry& e : entries)
     json.entry(e.name)
         .field("ns_per_op", e.ns_per_op)
-        .field("cells", e.cells)
-        .field("threads", e.threads);
+        .field("cells", e.cells);
   return json.write(path);
 }
 
@@ -168,11 +158,10 @@ std::vector<PipelineEntry> run_pipeline_harness() {
   const partition::WorkGrid grid(hierarchy, 2);
   const std::size_t cells = grid.cell_count();
   const auto targets = partition::equal_targets(64);
-  const int hw = util::resolve_threads(0);
 
   std::vector<PipelineEntry> entries;
-  auto add = [&](std::string name, int threads, double ns) {
-    entries.push_back({std::move(name), ns, cells, threads});
+  auto add = [&](std::string name, double ns) {
+    entries.push_back({std::move(name), ns, cells});
   };
 
   struct SplitterPair {
@@ -193,32 +182,25 @@ std::vector<PipelineEntry> run_pipeline_harness() {
        &partition::reference_dissection_split},
   };
   for (const SplitterPair& s : splitters) {
-    add(std::string(s.name) + "/prefix", 1, time_ns_per_op([&] {
+    add(std::string(s.name) + "/prefix", time_ns_per_op([&] {
           benchmark::DoNotOptimize(s.prefix(grid.prefix_sums(), targets));
         }));
-    add(std::string(s.name) + "/reference", 1, time_ns_per_op([&] {
+    add(std::string(s.name) + "/reference", time_ns_per_op([&] {
           benchmark::DoNotOptimize(s.reference(grid.sequence(), targets));
         }));
   }
 
-  for (const int threads : {1, hw}) {
-    add("workgrid_build", threads, time_ns_per_op([&] {
-          benchmark::DoNotOptimize(partition::WorkGrid(
-              hierarchy, 2, partition::CurveKind::kHilbert, threads));
-        }));
-    if (hw == 1) break;
-  }
+  add("workgrid_build", time_ns_per_op([&] {
+        benchmark::DoNotOptimize(partition::WorkGrid(hierarchy, 2));
+      }));
 
   const auto partitioner = partition::make_partitioner("G-MISP+SP");
   const partition::PartitionResult result =
       partitioner->partition(grid, targets);
-  for (const int threads : {1, hw}) {
-    add("communication_volume", threads, time_ns_per_op([&] {
-          benchmark::DoNotOptimize(partition::communication_volume(
-              grid, result.owners, threads));
-        }));
-    if (hw == 1) break;
-  }
+  add("communication_volume", time_ns_per_op([&] {
+        benchmark::DoNotOptimize(
+            partition::communication_volume(grid, result.owners));
+      }));
   return entries;
 }
 
@@ -337,8 +319,8 @@ std::vector<PipelineEntry> run_churn_sweep(int& failures) {
       const auto targets = partition::equal_targets(64);
       const partition::OwnerMap owners_after =
           partitioner->partition(full, targets).owners;
-      const double swept = partition::communication_volume(full,
-                                                           owners_after, 1);
+      const double swept =
+          partition::communication_volume(full, owners_after);
       const double reference_swept =
           partition::reference_communication_volume(full, owners_after);
       if (std::memcmp(&swept, &reference_swept, sizeof(double)) != 0) {
@@ -387,10 +369,10 @@ std::vector<PipelineEntry> run_churn_sweep(int& failures) {
     char name[96];
     std::snprintf(name, sizeof(name), "regrid_full_rebuild@churn=%.3g",
                   move_fraction);
-    entries.push_back({name, full_ns, cells, 1});
+    entries.push_back({name, full_ns, cells});
     std::snprintf(name, sizeof(name), "regrid_incremental@churn=%.3g",
                   move_fraction);
-    entries.push_back({name, incremental_ns, cells, 1});
+    entries.push_back({name, incremental_ns, cells});
     std::printf("  churn %.3g (delta churn %.3g): full %.0f ns, "
                 "incremental %.0f ns, speedup %.1fx\n",
                 move_fraction, delta.churn(), full_ns, incremental_ns,
@@ -433,8 +415,8 @@ BENCHMARK_CAPTURE(BM_SplitterPrefix, optimal, &partition::optimal_split)
 BENCHMARK_CAPTURE(BM_SplitterReference, optimal,
                   &partition::reference_optimal_split)
     ->Arg(64);
-BENCHMARK(BM_WorkGridBuild)->ArgsProduct({{2, 4, 8}, {1, 0}});
-BENCHMARK(BM_PacMetrics)->Arg(1)->Arg(0);
+BENCHMARK(BM_WorkGridBuild)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_PacMetrics);
 BENCHMARK(BM_Regrid);
 
 int main(int argc, char** argv) {
@@ -449,8 +431,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "could not write BENCH_partition_pipeline.json\n");
   for (const PipelineEntry& e : entries)
-    std::printf("  %-36s threads=%d  %12.1f ns/op\n", e.name.c_str(),
-                e.threads, e.ns_per_op);
+    std::printf("  %-36s %12.1f ns/op\n", e.name.c_str(), e.ns_per_op);
   if (gate_failures > 0) {
     std::fprintf(stderr, "%d equivalence/performance gate(s) failed\n",
                  gate_failures);

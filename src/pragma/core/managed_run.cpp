@@ -504,19 +504,16 @@ void ManagedRun::repartition(bool count_as_regrid) {
   const partition::PartitionResult result =
       partitioner.partition(native, targets);
 
-  // Steady-state regrids move few boxes, so the canonical grid is usually
-  // updated in place from the hierarchy delta (bitwise-identical to the
-  // rebuild, see WorkGrid::apply_delta) instead of re-rasterized.
+  // Regrids that move few boxes update the canonical grid from the
+  // hierarchy delta (bitwise-identical to the rebuild, see
+  // WorkGrid::derive) instead of re-rasterizing it.  Counted in
+  // core.managed_run.canonical_{incremental,full}.
   bool incremental = false;
-  if (config_.incremental_workgrid && canonical_.has_value() &&
-      canonical_hierarchy_.has_value()) {
-    const amr::HierarchyDelta delta =
-        amr::diff_hierarchies(*canonical_hierarchy_, emulator_.hierarchy());
-    if (delta.compatible &&
-        delta.churn() <= partition::kIncrementalChurnLimit)
-      incremental = canonical_->apply_delta(delta);
-  }
-  if (!incremental)
+  if (canonical_.has_value() && canonical_hierarchy_.has_value())
+    canonical_ = partition::WorkGrid::derive(
+        *canonical_, *canonical_hierarchy_, emulator_.hierarchy(),
+        &incremental);
+  else
     canonical_.emplace(emulator_.hierarchy(), 2,
                        partition::CurveKind::kHilbert);
   canonical_hierarchy_ = emulator_.hierarchy();

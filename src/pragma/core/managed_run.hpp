@@ -151,13 +151,6 @@ struct ManagedRunConfig {
   /// Setting this makes a default run replay byte-identically — required
   /// for the CI observability smoke test's committed reference output.
   double modeled_partition_s_per_cell = 0.0;
-  /// Update the canonical work grid from the hierarchy delta at each
-  /// repartition instead of re-rasterizing it (bitwise-identical output —
-  /// see WorkGrid::apply_delta — so reports and checkpoints are unchanged).
-  /// A full rebuild still happens when the delta is incompatible or the
-  /// regrid churn exceeds partition::kIncrementalChurnLimit.  Counted in
-  /// the obs metrics core.managed_run.canonical_{incremental,full}.
-  bool incremental_workgrid = true;
   /// Observability knobs (tracing/metrics/flight recorder).  Merge-enabled
   /// into the process-wide obs facilities at construction; the default
   /// (all off) leaves global state untouched, so runs stay byte-identical.

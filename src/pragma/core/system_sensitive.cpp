@@ -70,11 +70,10 @@ SystemSensitiveResult run_system_sensitive_experiment(
     auto grid_for = [&](int grain, partition::CurveKind curve) {
       if (config.workgrid_cache != nullptr)
         return config.workgrid_cache->get_or_build(i, snapshot.hierarchy,
-                                                   grain, curve,
-                                                   config.threads);
+                                                   grain, curve);
       return std::shared_ptr<const partition::WorkGrid>(
-          std::make_shared<const partition::WorkGrid>(
-              snapshot.hierarchy, grain, curve, config.threads));
+          std::make_shared<const partition::WorkGrid>(snapshot.hierarchy,
+                                                      grain, curve));
     };
     const std::shared_ptr<const partition::WorkGrid> native =
         grid_for(partitioner->preferred_grain(), partitioner->curve());

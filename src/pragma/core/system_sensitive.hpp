@@ -62,8 +62,6 @@ struct SystemSensitiveConfig {
   /// one cache so each snapshot is rasterized once across all of them.
   /// Null builds grids locally per call.
   partition::WorkGridCache* workgrid_cache = nullptr;
-  /// Worker threads for WorkGrid rasterization (see TraceRunConfig).
-  int threads = 1;
 };
 
 struct SystemSensitiveResult {

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "pragma/obs/tracer.hpp"
-#include "pragma/util/thread_pool.hpp"
 
 namespace pragma::core {
 
@@ -24,7 +23,6 @@ TraceRunner::TraceRunner(const amr::AdaptationTrace& trace,
     config_.targets = partition::equal_targets(config_.nprocs);
   if (config_.targets.size() != config_.nprocs)
     throw std::invalid_argument("TraceRunner: targets/nprocs mismatch");
-  config_.threads = util::resolve_threads(config_.threads);
   if (config_.obs.any()) obs::apply(config_.obs);
 }
 
@@ -58,6 +56,14 @@ RunSummary TraceRunner::run_adaptive(
                 &meta);
 }
 
+std::shared_ptr<const partition::WorkGrid> TraceRunner::grid_at(
+    std::size_t index, int grain, partition::CurveKind curve) const {
+  const amr::GridHierarchy& hierarchy = trace_.at(index).hierarchy;
+  if (index == 0) return cache().get_or_build(0, hierarchy, grain, curve);
+  return cache().get_or_update(index, hierarchy, index - 1,
+                               trace_.at(index - 1).hierarchy, grain, curve);
+}
+
 RunSummary TraceRunner::replay(
     const std::string& label,
     const std::function<const partition::Partitioner&(std::size_t)>& select,
@@ -82,7 +88,6 @@ RunSummary TraceRunner::replay(
   double weighted_efficiency = 0.0;
   double total_steps = 0.0;
 
-  partition::WorkGridCache& grids = cache();
   for (std::size_t i = 0; i < trace_.size(); ++i) {
     if (config_.should_abort && config_.should_abort()) break;
     const amr::Snapshot& snapshot = trace_.at(i);
@@ -103,24 +108,9 @@ RunSummary TraceRunner::replay(
     // Each snapshot's canonical grid is rasterized once per runner and
     // shared across replays through the cache (snapshot i+1's grid, built
     // below for the stale-partition term, is this lookup on the next
-    // iteration — and on every other replay of the same trace).  With the
-    // incremental path on, a cache miss derives the grid from the previous
-    // snapshot's entry via the hierarchy delta instead of re-rasterizing.
-    const auto canonical_grid = [&](std::size_t index)
-        -> std::shared_ptr<const partition::WorkGrid> {
-      const amr::GridHierarchy& h = trace_.at(index).hierarchy;
-      if (config_.incremental_workgrid && index > 0)
-        return grids.get_or_update(index, h, index - 1,
-                                   trace_.at(index - 1).hierarchy,
-                                   config_.canonical_grain,
-                                   partition::CurveKind::kHilbert,
-                                   config_.threads);
-      return grids.get_or_build(index, h, config_.canonical_grain,
-                                partition::CurveKind::kHilbert,
-                                config_.threads);
-    };
+    // iteration — and on every other replay of the same trace).
     const std::shared_ptr<const partition::WorkGrid> canonical_ptr =
-        canonical_grid(i);
+        grid_at(i, config_.canonical_grain, partition::CurveKind::kHilbert);
     const partition::WorkGrid& canonical = *canonical_ptr;
 
     // Agent-triggered repartitioning (adaptive runs only): keep the
@@ -160,12 +150,7 @@ RunSummary TraceRunner::replay(
                             ? meta->current_grain()
                             : partitioner.preferred_grain();
       const std::shared_ptr<const partition::WorkGrid> native =
-          config_.incremental_workgrid && i > 0
-              ? grids.get_or_update(i, hierarchy, i - 1,
-                                    trace_.at(i - 1).hierarchy, grain,
-                                    partitioner.curve(), config_.threads)
-              : grids.get_or_build(i, hierarchy, grain, partitioner.curve(),
-                                   config_.threads);
+          grid_at(i, grain, partitioner.curve());
       result = partitioner.partition(*native, config_.targets);
       if (config_.modeled_partition_s_per_cell > 0.0)
         result.partition_seconds =
@@ -186,7 +171,8 @@ RunSummary TraceRunner::replay(
     StepTime stale = fresh;
     if (i + 1 < trace_.size()) {
       const std::shared_ptr<const partition::WorkGrid> next_canonical =
-          canonical_grid(i + 1);
+          grid_at(i + 1, config_.canonical_grain,
+                  partition::CurveKind::kHilbert);
       carried = model_.map(*next_canonical, owners);
       stale = model_.time_of(carried, cluster_);
     }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,17 +41,6 @@ struct TraceRunConfig {
   /// repartitioning").  Static baselines repartition at every regrid, as
   /// the original SAMR framework did.  Set to 0 to disable.
   double repartition_threshold = 0.20;
-  /// Worker threads for the partitioning pipeline (WorkGrid rasterization,
-  /// communication sweep).  0 = hardware_concurrency; 1 = the serial code
-  /// path, bitwise-identical to pre-threading replays.
-  int threads = 0;
-  /// Derive each snapshot's work grids from the previous snapshot's via the
-  /// hierarchy delta (WorkGridCache::get_or_update) instead of rebuilding
-  /// them from scratch at every snapshot.  The delta path is
-  /// bitwise-identical to the rebuild, so summaries are unchanged; turn off
-  /// to force the full-rebuild oracle (as the perf bench does when
-  /// measuring the two curves).
-  bool incremental_workgrid = true;
   /// When > 0, charge partitioning as cells * this instead of the
   /// partitioner's wall-clock measurement (same knob as
   /// ManagedRunConfig::modeled_partition_s_per_cell) so that concurrent
@@ -126,6 +116,12 @@ class TraceRunner {
     return config_.shared_cache != nullptr ? *config_.shared_cache
                                            : workgrid_cache_;
   }
+
+  /// Snapshot `index`'s grid at (`grain`, `curve`) from the cache.  A miss
+  /// past snapshot 0 derives it from snapshot index-1's cached grid (see
+  /// WorkGridCache::get_or_update) instead of re-rasterizing.
+  [[nodiscard]] std::shared_ptr<const partition::WorkGrid> grid_at(
+      std::size_t index, int grain, partition::CurveKind curve) const;
 
   const amr::AdaptationTrace& trace_;
   const grid::Cluster& cluster_;

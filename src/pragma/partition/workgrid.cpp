@@ -7,7 +7,6 @@
 #include "pragma/obs/metrics.hpp"
 #include "pragma/obs/tracer.hpp"
 #include "pragma/util/arena.hpp"
-#include "pragma/util/thread_pool.hpp"
 
 namespace pragma::partition {
 
@@ -18,7 +17,6 @@ struct BoxTask {
   double work_per_l0;
   double cells_per_l0;
   int rr;
-  int level;
 };
 
 /// Per-box weights of level l (MIT substepping: a level-l cell advances
@@ -30,7 +28,7 @@ BoxTask make_task(const amr::Box& box, int level, int ratio) {
   const auto r = static_cast<double>(rr);
   const double cells_per_l0 = r * r * r;        // level-l cells per L0 cell
   const double work_per_l0 = cells_per_l0 * r;  // MIT substeps
-  return {&box, work_per_l0, cells_per_l0, static_cast<int>(rr), level};
+  return {&box, work_per_l0, cells_per_l0, static_cast<int>(rr)};
 }
 
 /// Reference scalar kernel (the pre-SIMD implementation): rasterize one box
@@ -146,18 +144,16 @@ void rasterize_box(const BoxTask& task, int grain, amr::IntVec3 dims,
 }  // namespace
 
 WorkGrid::WorkGrid(const amr::GridHierarchy& hierarchy, int grain,
-                   CurveKind curve, int threads)
-    : WorkGrid(hierarchy, grain, curve, threads,
-               /*reference_kernels=*/false) {}
+                   CurveKind curve)
+    : WorkGrid(hierarchy, grain, curve, /*reference_kernels=*/false) {}
 
 WorkGrid WorkGrid::reference_build(const amr::GridHierarchy& hierarchy,
                                    int grain, CurveKind curve) {
-  return WorkGrid(hierarchy, grain, curve, /*threads=*/1,
-                  /*reference_kernels=*/true);
+  return WorkGrid(hierarchy, grain, curve, /*reference_kernels=*/true);
 }
 
 WorkGrid::WorkGrid(const amr::GridHierarchy& hierarchy, int grain,
-                   CurveKind curve, int threads, bool reference_kernels)
+                   CurveKind curve, bool reference_kernels)
     : grain_(grain),
       num_levels_(hierarchy.num_levels()),
       ratio_(hierarchy.ratio()),
@@ -179,60 +175,17 @@ WorkGrid::WorkGrid(const amr::GridHierarchy& hierarchy, int grain,
   // Rasterize each level's boxes onto the grain lattice.  A level-l box is
   // first coarsened to level-0 index space; for each overlapped grain cell
   // the exact level-0 overlap volume is scaled back to level-l quantities.
-  std::vector<BoxTask> tasks;
-  for (const amr::GridLevel& level : hierarchy.levels())
-    for (const amr::Box& box : level.boxes)
-      tasks.push_back(make_task(box, level.level, ratio_));
-
-  const auto deposit = [&](const BoxTask& task, double* work, double* storage,
-                           std::uint32_t* cover_planes) {
+  for (const amr::GridLevel& level : hierarchy.levels()) {
     std::uint32_t* plane =
-        cover_planes + static_cast<std::size_t>(task.level) * count;
-    if (reference_kernels)
-      reference_rasterize_box(task, grain, dims_, work, storage, plane);
-    else
-      rasterize_box(task, grain, dims_, work, storage, plane, 1.0, nullptr);
-  };
-
-  // Too few boxes to amortize per-thread partial grids: stay serial.
-  constexpr std::size_t kMinTasksPerThread = 8;
-  const std::size_t max_blocks =
-      threads > 1 ? tasks.size() / kMinTasksPerThread : 1;
-  if (max_blocks <= 1) {
-    for (const BoxTask& task : tasks)
-      deposit(task, work_.data(), storage_.data(), cover_.data());
-  } else {
-    const int blocks =
-        static_cast<int>(std::min<std::size_t>(
-            static_cast<std::size_t>(threads), max_blocks));
-    const std::size_t planes = count * static_cast<std::size_t>(num_levels_);
-    std::vector<std::vector<double>> part_work;
-    std::vector<std::vector<double>> part_storage;
-    std::vector<std::vector<std::uint32_t>> part_cover;
-    part_work.resize(static_cast<std::size_t>(blocks));
-    part_storage.resize(static_cast<std::size_t>(blocks));
-    part_cover.resize(static_cast<std::size_t>(blocks));
-    const std::size_t used = util::parallel_blocks(
-        tasks.size(), blocks,
-        [&](std::size_t block, std::size_t begin, std::size_t end) {
-          auto& bw = part_work[block];
-          auto& bs = part_storage[block];
-          auto& bc = part_cover[block];
-          bw.assign(count, 0.0);
-          bs.assign(count, 0.0);
-          bc.assign(planes, 0u);
-          for (std::size_t t = begin; t < end; ++t)
-            deposit(tasks[t], bw.data(), bs.data(), bc.data());
-        });
-    // Merge the contiguous slices in block order: deterministic for a
-    // fixed thread count (and exact whenever the work values are, as for
-    // the integer-valued per-box contributions).
-    for (std::size_t b = 0; b < used; ++b) {
-      for (std::size_t c = 0; c < count; ++c) {
-        work_[c] += part_work[b][c];
-        storage_[c] += part_storage[b][c];
-      }
-      for (std::size_t p = 0; p < planes; ++p) cover_[p] += part_cover[b][p];
+        cover_.data() + static_cast<std::size_t>(level.level) * count;
+    for (const amr::Box& box : level.boxes) {
+      const BoxTask task = make_task(box, level.level, ratio_);
+      if (reference_kernels)
+        reference_rasterize_box(task, grain, dims_, work_.data(),
+                                storage_.data(), plane);
+      else
+        rasterize_box(task, grain, dims_, work_.data(), storage_.data(),
+                      plane, 1.0, nullptr);
     }
   }
 
@@ -335,6 +288,21 @@ bool WorkGrid::apply_delta(const amr::HierarchyDelta& delta) {
   return true;
 }
 
+WorkGrid WorkGrid::derive(const WorkGrid& previous,
+                          const amr::GridHierarchy& before,
+                          const amr::GridHierarchy& after, bool* incremental) {
+  const amr::HierarchyDelta delta = amr::diff_hierarchies(before, after);
+  if (delta.churn() <= kIncrementalChurnLimit) {
+    WorkGrid updated = previous;
+    if (updated.apply_delta(delta)) {
+      *incremental = true;
+      return updated;
+    }
+  }
+  *incremental = false;
+  return WorkGrid(after, previous.grain_, previous.curve_);
+}
+
 amr::IntVec3 WorkGrid::coords(std::size_t c) const {
   const auto x = static_cast<int>(c % static_cast<std::size_t>(dims_.x));
   const auto y = static_cast<int>((c / static_cast<std::size_t>(dims_.x)) %
@@ -401,9 +369,22 @@ std::shared_ptr<const WorkGrid> WorkGridCache::insert_locked(
   return it->second.grid;
 }
 
+std::shared_ptr<const WorkGrid> WorkGridCache::insert_built(
+    const Key& key, std::shared_ptr<const WorkGrid> grid, bool incremental) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (incremental) {
+    ++stats_.incremental_builds;
+    cache_counters().incremental.add();
+  } else {
+    ++stats_.full_builds;
+    cache_counters().full.add();
+  }
+  return insert_locked(key, std::move(grid));
+}
+
 std::shared_ptr<const WorkGrid> WorkGridCache::get_or_build(
     std::size_t snapshot, const amr::GridHierarchy& hierarchy, int grain,
-    CurveKind curve, int threads) {
+    CurveKind curve) {
   const Key key{snapshot, grain, curve};
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -411,18 +392,15 @@ std::shared_ptr<const WorkGrid> WorkGridCache::get_or_build(
   }
   // Rasterize outside the lock; a concurrent builder of the same key loses
   // the insertion race and its grid is dropped.
-  auto grid = std::make_shared<const WorkGrid>(hierarchy, grain, curve,
-                                               threads);
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.full_builds;
-  cache_counters().full.add();
-  return insert_locked(key, std::move(grid));
+  return insert_built(
+      key, std::make_shared<const WorkGrid>(hierarchy, grain, curve),
+      /*incremental=*/false);
 }
 
 std::shared_ptr<const WorkGrid> WorkGridCache::get_or_update(
     std::size_t snapshot, const amr::GridHierarchy& hierarchy,
     std::size_t prev_snapshot, const amr::GridHierarchy& prev_hierarchy,
-    int grain, CurveKind curve, int threads) {
+    int grain, CurveKind curve) {
   const Key key{snapshot, grain, curve};
   std::shared_ptr<const WorkGrid> previous;
   {
@@ -431,24 +409,14 @@ std::shared_ptr<const WorkGrid> WorkGridCache::get_or_update(
     const auto prev_it = cache_.find(Key{prev_snapshot, grain, curve});
     if (prev_it != cache_.end()) previous = prev_it->second.grid;
   }
-
-  if (previous != nullptr) {
-    const amr::HierarchyDelta delta =
-        amr::diff_hierarchies(prev_hierarchy, hierarchy);
-    if (delta.compatible && delta.churn() <= kIncrementalChurnLimit) {
-      // Copy-on-update: the cached previous grid stays immutable and
-      // shared; the copy absorbs the delta over the touched cells only.
-      auto updated = std::make_shared<WorkGrid>(*previous);
-      if (updated->apply_delta(delta)) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.incremental_builds;
-        cache_counters().incremental.add();
-        return insert_locked(key,
-                             std::shared_ptr<const WorkGrid>(std::move(updated)));
-      }
-    }
-  }
-  return get_or_build(snapshot, hierarchy, grain, curve, threads);
+  if (previous == nullptr)
+    return insert_built(
+        key, std::make_shared<const WorkGrid>(hierarchy, grain, curve),
+        /*incremental=*/false);
+  bool incremental = false;
+  auto grid = std::make_shared<const WorkGrid>(
+      WorkGrid::derive(*previous, prev_hierarchy, hierarchy, &incremental));
+  return insert_built(key, std::move(grid), incremental);
 }
 
 std::size_t WorkGridCache::size() const {

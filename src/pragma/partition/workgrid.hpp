@@ -42,11 +42,9 @@ inline constexpr double kIncrementalChurnLimit = 0.35;
 class WorkGrid {
  public:
   /// Rasterize `hierarchy` at the given grain (level-0 cells per grain-cell
-  /// edge) using the given curve for the 1-D ordering.  `threads` > 1
-  /// splits the per-box rasterization across the shared thread pool with
-  /// per-thread partial grids merged in box order; 1 is the serial path.
+  /// edge) using the given curve for the 1-D ordering.
   WorkGrid(const amr::GridHierarchy& hierarchy, int grain,
-           CurveKind curve = CurveKind::kHilbert, int threads = 1);
+           CurveKind curve = CurveKind::kHilbert);
 
   /// Bitwise equivalence oracle: the same grid built with the pre-SIMD
   /// scalar per-box kernel (serial).  Tests and the perf-smoke bench gate
@@ -62,6 +60,18 @@ class WorkGrid {
   /// ratio, level-count mismatch with this grid's state, or more levels
   /// than the 32-bit mask can hold.  Callers fall back to a full rebuild.
   [[nodiscard]] bool apply_delta(const amr::HierarchyDelta& delta);
+
+  /// The one delta-or-rebuild policy: the grid of `after`, derived from
+  /// `previous` (rasterized from `before`).  A copy of `previous` absorbs
+  /// diff_hierarchies(before, after) when its churn is at most
+  /// kIncrementalChurnLimit and apply_delta accepts it; otherwise `after`
+  /// is rasterized at `previous`'s grain and curve, with no copy made.
+  /// Either way the result is bitwise-identical to a fresh build.
+  /// `*incremental` is set to whether the delta was applied.
+  [[nodiscard]] static WorkGrid derive(const WorkGrid& previous,
+                                       const amr::GridHierarchy& before,
+                                       const amr::GridHierarchy& after,
+                                       bool* incremental);
 
   [[nodiscard]] int grain() const { return grain_; }
   [[nodiscard]] amr::IntVec3 lattice_dims() const { return dims_; }
@@ -115,7 +125,7 @@ class WorkGrid {
 
  private:
   WorkGrid(const amr::GridHierarchy& hierarchy, int grain, CurveKind curve,
-           int threads, bool reference_kernels);
+           bool reference_kernels);
 
   int grain_;
   amr::IntVec3 dims_{0, 0, 0};
@@ -157,18 +167,17 @@ class WorkGridCache {
   /// snapshot index <-> hierarchy mapping for the lifetime of the cache.
   [[nodiscard]] std::shared_ptr<const WorkGrid> get_or_build(
       std::size_t snapshot, const amr::GridHierarchy& hierarchy, int grain,
-      CurveKind curve, int threads = 1);
+      CurveKind curve);
 
-  /// Like get_or_build, but on a miss first tries to derive the grid from
-  /// the cached (`prev_snapshot`, `grain`, `curve`) entry by applying the
-  /// hierarchy delta — a copy plus an update over the touched cells, which
-  /// at low regrid churn is far cheaper than re-rasterizing.  Falls back to
-  /// a full build when the previous grid is absent, the delta churn exceeds
-  /// kIncrementalChurnLimit, or apply_delta rejects the delta.
+  /// Like get_or_build, but on a miss derives the grid from the cached
+  /// (`prev_snapshot`, `grain`, `curve`) entry through WorkGrid::derive —
+  /// at low regrid churn an update over the touched cells, far cheaper
+  /// than re-rasterizing.  Builds from scratch when the previous grid is
+  /// absent.  One lookup counts one hit or miss.
   [[nodiscard]] std::shared_ptr<const WorkGrid> get_or_update(
       std::size_t snapshot, const amr::GridHierarchy& hierarchy,
       std::size_t prev_snapshot, const amr::GridHierarchy& prev_hierarchy,
-      int grain, CurveKind curve, int threads = 1);
+      int grain, CurveKind curve);
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t max_entries() const { return max_entries_; }
@@ -210,6 +219,9 @@ class WorkGridCache {
   [[nodiscard]] std::shared_ptr<const WorkGrid> find_locked(const Key& key);
   std::shared_ptr<const WorkGrid> insert_locked(
       const Key& key, std::shared_ptr<const WorkGrid> grid);
+  /// Count a freshly made grid as an incremental or full build and cache it.
+  std::shared_ptr<const WorkGrid> insert_built(
+      const Key& key, std::shared_ptr<const WorkGrid> grid, bool incremental);
 
   const std::size_t max_entries_;
   mutable std::mutex mutex_;

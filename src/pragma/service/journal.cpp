@@ -417,7 +417,7 @@ std::vector<std::uint8_t> encode_run_spec(const RunSpec& spec) {
   for (double t : spec.targets) w.f64(t);
   w.f64(spec.stale_weight);
   w.f64(spec.repartition_threshold);
-  w.i32(spec.threads);
+  w.i32(1);  // retired rasterization-thread count, kept for the format
   w.u8(spec.dynamic_capacities ? 1 : 0);
 
   // failure injection
@@ -543,7 +543,7 @@ util::Expected<RunSpec> decode_run_spec(
     spec.targets.push_back(r.f64());
   spec.stale_weight = r.f64();
   spec.repartition_threshold = r.f64();
-  spec.threads = r.i32();
+  (void)r.i32();  // retired rasterization-thread count
   spec.dynamic_capacities = r.u8() != 0;
 
   spec.failures.clear();

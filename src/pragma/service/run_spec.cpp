@@ -107,7 +107,6 @@ core::TraceRunConfig RunSpec::to_trace() const {
   config.targets = targets;
   config.stale_weight = stale_weight;
   config.repartition_threshold = repartition_threshold;
-  config.threads = threads;
   config.modeled_partition_s_per_cell = modeled_partition_s_per_cell;
   config.obs = obs;
   config.shared_cache = workgrid_cache;
@@ -127,7 +126,6 @@ core::SystemSensitiveConfig RunSpec::to_system_sensitive() const {
   config.canonical_grain = canonical_grain;
   config.dynamic_capacities = dynamic_capacities;
   config.workgrid_cache = workgrid_cache;
-  config.threads = threads;
   return config;
 }
 
@@ -176,8 +174,6 @@ void add_run_flags(util::CliFlags& flags, const RunSpec& defaults) {
                 "master RNG seed of the run");
   flags.add_double("spread", defaults.capacity_spread,
                    "node-speed heterogeneity (0 = homogeneous)");
-  flags.add_int("threads", defaults.threads,
-                "rasterization worker threads (replays)");
   flags.add_bool("background-load", defaults.with_background_load,
                  "run the synthetic background load generator");
   flags.add_bool("system-sensitive", defaults.system_sensitive,
@@ -231,7 +227,6 @@ RunSpec spec_from_flags(const util::CliFlags& flags, RunSpec base) {
   base.app.coarse_steps = static_cast<int>(flags.get_int("steps"));
   base.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   base.capacity_spread = flags.get_double("spread");
-  base.threads = static_cast<int>(flags.get_int("threads"));
   base.with_background_load = flags.get_bool("background-load");
   base.system_sensitive = flags.get_bool("system-sensitive");
   base.proactive = flags.get_bool("proactive");

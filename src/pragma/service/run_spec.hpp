@@ -111,8 +111,6 @@ struct RunSpec {
   std::vector<double> targets;  ///< empty = equal shares
   double stale_weight = 0.375;
   double repartition_threshold = 0.20;
-  /// Rasterization threads (1 = serial, bitwise-stable path).
-  int threads = 1;
   bool dynamic_capacities = false;  ///< kSystemSensitive only
   /// Filled by the service (Runtime) so concurrent replays of the same
   /// trace coalesce their work-grid rasterization; user code normally

@@ -1,7 +1,5 @@
 #include "pragma/util/thread_pool.hpp"
 
-#include <algorithm>
-
 namespace pragma::util {
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -52,38 +50,6 @@ bool ThreadPool::try_run_one() {
 ThreadPool& shared_pool() {
   static ThreadPool pool;
   return pool;
-}
-
-int resolve_threads(int threads) {
-  if (threads > 0) return threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-std::size_t parallel_blocks(
-    std::size_t n, int threads,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  const std::size_t want =
-      std::min<std::size_t>(static_cast<std::size_t>(std::max(threads, 1)), n);
-  if (want <= 1) {
-    fn(0, 0, n);
-    return n == 0 ? 0 : 1;
-  }
-  const std::size_t per = (n + want - 1) / want;
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  for (std::size_t begin = 0; begin < n; begin += per)
-    ranges.emplace_back(begin, std::min(begin + per, n));
-
-  ThreadPool& pool = shared_pool();
-  std::vector<std::future<void>> futures;
-  futures.reserve(ranges.size() - 1);
-  for (std::size_t b = 1; b < ranges.size(); ++b)
-    futures.push_back(pool.submit([&fn, b, range = ranges[b]] {
-      fn(b, range.first, range.second);
-    }));
-  fn(0, ranges[0].first, ranges[0].second);
-  for (std::future<void>& future : futures) pool.get_helping(future);
-  return ranges.size();
 }
 
 }  // namespace pragma::util

@@ -1,11 +1,9 @@
 // A small fixed-size thread pool (no work stealing: one shared FIFO queue).
 //
-// Used to run independent replays of a bench table concurrently and to
-// parallelize the hot loops of the partitioning pipeline (WorkGrid
-// rasterization, the communication-volume face sweep).  Waiting callers
-// help drain the queue (`help_while_waiting` / `get_helping`), so nested
-// parallel sections cannot deadlock even when every worker is occupied by
-// an outer task.
+// Used by the service scheduler and to run independent replays of a bench
+// table concurrently.  Waiting callers help drain the queue (`try_run_one`
+// / `get_helping`), so nested waits cannot deadlock even when every worker
+// is occupied by an outer task.
 #pragma once
 
 #include <chrono>
@@ -72,19 +70,5 @@ class ThreadPool {
 
 /// The process-wide pool (lazily created, hardware_concurrency workers).
 [[nodiscard]] ThreadPool& shared_pool();
-
-/// Partition [0, n) into at most `threads` contiguous blocks and run
-/// fn(block, begin, end) for each, block 0 on the calling thread and the
-/// rest on the shared pool.  Returns the number of blocks used (callers
-/// merge per-block partials in block order for deterministic reduction).
-/// threads <= 1, or n too small to split, degrades to one inline call —
-/// byte-for-byte the serial code path.
-std::size_t parallel_blocks(
-    std::size_t n, int threads,
-    const std::function<void(std::size_t block, std::size_t begin,
-                             std::size_t end)>& fn);
-
-/// Clamped thread-count helper: 0 (auto) -> hardware_concurrency, min 1.
-[[nodiscard]] int resolve_threads(int threads);
 
 }  // namespace pragma::util

@@ -122,7 +122,6 @@ std::vector<Golden> replay_all(const grid::Cluster& cluster,
                                const std::string& machine) {
   TraceRunConfig config;
   config.nprocs = 16;
-  config.threads = 1;
   config.modeled_partition_s_per_cell = 2e-7;
   const TraceRunner runner(digest_trace(), cluster, config);
   std::vector<Golden> out;
@@ -267,7 +266,6 @@ TEST(ReplayDigest, AdaptiveReplayKeepsPartitionsBelowThreshold) {
   const grid::Cluster cluster = grid::ClusterBuilder::homogeneous(16);
   TraceRunConfig config;
   config.nprocs = 16;
-  config.threads = 1;
   config.modeled_partition_s_per_cell = 2e-7;
   const RunSummary adaptive = TraceRunner(digest_trace(), cluster, config)
                                   .run_adaptive(policy::standard_policy_base());
@@ -285,7 +283,6 @@ TEST(ReplayDigest, SystemSensitiveRunsAreBitwisePinned) {
   for (const std::size_t nprocs : {8, 16}) {
     SystemSensitiveConfig config;
     config.nprocs = nprocs;
-    config.threads = 1;
     got.push_back(pin("system-sensitive-" + std::to_string(nprocs),
                       run_system_sensitive_experiment(digest_trace(), config)));
   }

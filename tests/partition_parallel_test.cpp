@@ -1,7 +1,6 @@
-// Thread-parallel pipeline paths and the shared caches: parallel results
-// must match the serial path exactly, the curve-order cache must hand out
-// one shared vector under concurrent access, and the WorkGrid cache must
-// build each (snapshot, grain, curve) grid once.
+// The shared caches under concurrent access: the curve-order cache must
+// hand out one shared vector per key, and the WorkGrid cache must build
+// each (snapshot, grain, curve) grid once.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,7 +8,6 @@
 #include <vector>
 
 #include "pragma/amr/rm3d.hpp"
-#include "pragma/partition/metrics.hpp"
 #include "pragma/partition/sfc.hpp"
 #include "pragma/partition/workgrid.hpp"
 
@@ -56,39 +54,6 @@ TEST(CurveOrderShared, ConcurrentAccessIsConsistent) {
   for (int t = 1; t < kThreads; ++t)
     for (int i = 0; i < kIters; ++i)
       EXPECT_EQ(seen[t][i].get(), seen[0][i].get());
-}
-
-TEST(WorkGridParallel, MatchesSerialExactly) {
-  const amr::GridHierarchy hierarchy = rm3d_hierarchy();
-  const WorkGrid serial(hierarchy, 2, CurveKind::kHilbert, 1);
-  const WorkGrid parallel(hierarchy, 2, CurveKind::kHilbert, 4);
-  ASSERT_EQ(serial.cell_count(), parallel.cell_count());
-  // RM3D work weights are integer-valued, so the per-block partial merge
-  // is exact and the grids must match bit for bit.
-  for (std::size_t c = 0; c < serial.cell_count(); ++c) {
-    EXPECT_EQ(serial.work(c), parallel.work(c)) << c;
-    EXPECT_EQ(serial.storage(c), parallel.storage(c)) << c;
-    EXPECT_EQ(serial.levels_present(c), parallel.levels_present(c)) << c;
-  }
-  EXPECT_EQ(serial.total_work(), parallel.total_work());
-  EXPECT_EQ(serial.sequence(), parallel.sequence());
-  EXPECT_EQ(&serial.order(), &parallel.order());  // shared curve cache
-}
-
-TEST(CommunicationVolumeParallel, MatchesSerialExactly) {
-  const WorkGrid grid(rm3d_hierarchy(), 2);
-  const auto partitioner = make_partitioner("G-MISP+SP");
-  const PartitionResult result =
-      partitioner->partition(grid, equal_targets(16));
-  const double serial = communication_volume(grid, result.owners, 1);
-  for (const int threads : {2, 3, 8})
-    EXPECT_EQ(communication_volume(grid, result.owners, threads), serial);
-  const PacMetrics serial_pac =
-      evaluate_pac(grid, result, equal_targets(16), nullptr, 1);
-  const PacMetrics parallel_pac =
-      evaluate_pac(grid, result, equal_targets(16), nullptr, 8);
-  EXPECT_EQ(serial_pac.communication, parallel_pac.communication);
-  EXPECT_EQ(serial_pac.load_imbalance, parallel_pac.load_imbalance);
 }
 
 TEST(WorkGridCacheTest, SameKeySharesOneGrid) {

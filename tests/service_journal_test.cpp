@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -105,7 +106,6 @@ RunSpec elaborate_spec() {
   spec.persist.keep_last_n = 3;
   spec.strategy = "GMISP+SP";
   spec.targets = {0.1, 0.2, 0.3};
-  spec.threads = 2;
   spec.dynamic_capacities = true;
   spec.failures.push_back({60.0, 3, 120.0});
   spec.random_mtbf_s = 1e6;
@@ -124,6 +124,33 @@ TEST(JournalCodec, RunSpecRoundTripsBitwise) {
   EXPECT_EQ(decoded.value().journal_key(), original.journal_key());
   ASSERT_EQ(decoded.value().failures.size(), 1u);
   EXPECT_EQ(decoded.value().failures[0].node, 3u);
+}
+
+TEST(JournalCodec, RetiredThreadsSlotDecodesAndReencodesAsOne) {
+  // The payload keeps the i32 slot of a retired rasterization-thread count
+  // between repartition_threshold and dynamic_capacities; older WALs may
+  // hold any value there.  Decode must skip it and encode must write 1.
+  RunSpec spec = elaborate_spec();
+  spec.repartition_threshold = 0.4375;  // a byte pattern found once
+  const std::vector<std::uint8_t> payload = encode_run_spec(spec);
+  std::uint8_t marker[sizeof(double)];
+  std::memcpy(marker, &spec.repartition_threshold, sizeof marker);
+  const auto at = std::search(payload.begin(), payload.end(), marker,
+                              marker + sizeof marker);
+  ASSERT_NE(at, payload.end());
+  const auto slot =
+      static_cast<std::size_t>(at - payload.begin()) + sizeof marker;
+  ASSERT_LE(slot + sizeof(std::int32_t), payload.size());
+  std::int32_t written = 0;
+  std::memcpy(&written, payload.data() + slot, sizeof written);
+  EXPECT_EQ(written, 1);
+
+  std::vector<std::uint8_t> older = payload;
+  const std::int32_t two = 2;
+  std::memcpy(older.data() + slot, &two, sizeof two);
+  util::Expected<RunSpec> decoded = decode_run_spec(older);
+  ASSERT_TRUE(decoded.has_value()) << decoded.status().to_string();
+  EXPECT_EQ(encode_run_spec(decoded.value()), payload);
 }
 
 TEST(JournalCodec, RejectsTrailingBytesAndBadVersion) {

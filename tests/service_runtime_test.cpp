@@ -50,14 +50,13 @@ TEST(RunSpecConversion, DefaultSpecReproducesLegacyDefaults) {
   EXPECT_EQ(managed.ft.enabled, legacy.ft.enabled);
   EXPECT_EQ(managed.persist.enabled, legacy.persist.enabled);
 
-  // Trace replays share the unified machine description (16 procs, one
-  // replay thread) instead of the old standalone TraceRunConfig defaults.
+  // Trace replays share the unified machine description (16 procs)
+  // instead of the old standalone TraceRunConfig defaults.
   const core::TraceRunConfig trace = spec.to_trace();
   const core::TraceRunConfig legacy_trace;
   EXPECT_EQ(trace.nprocs, 16u);
   EXPECT_EQ(trace.canonical_grain, legacy_trace.canonical_grain);
   EXPECT_DOUBLE_EQ(trace.stale_weight, legacy_trace.stale_weight);
-  EXPECT_EQ(trace.threads, 1u);
   EXPECT_EQ(trace.shared_cache, nullptr);
 }
 

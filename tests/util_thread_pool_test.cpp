@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <vector>
@@ -37,70 +36,19 @@ TEST(ThreadPool, SizeMatchesRequest) {
   EXPECT_GE(ThreadPool(0).size(), 1u);  // auto: hardware_concurrency, min 1
 }
 
-TEST(ResolveThreads, AutoIsAtLeastOne) {
-  EXPECT_GE(resolve_threads(0), 1);
-  EXPECT_GE(resolve_threads(-5), 1);
-  EXPECT_EQ(resolve_threads(7), 7);
-}
-
-TEST(ParallelBlocks, CoversRangeExactlyOnce) {
-  for (const int threads : {1, 2, 3, 8}) {
-    for (const std::size_t n : {0u, 1u, 2u, 7u, 100u}) {
-      std::vector<std::atomic<int>> hits(n);
-      const std::size_t blocks = parallel_blocks(
-          n, threads, [&](std::size_t, std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) ++hits[i];
-          });
-      for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " threads=" << threads;
-      if (n == 0) {
-        EXPECT_EQ(blocks, 0u);
-      } else {
-        EXPECT_GE(blocks, 1u);
-        EXPECT_LE(blocks, std::min<std::size_t>(
-                              static_cast<std::size_t>(std::max(threads, 1)),
-                              n));
-      }
-    }
-  }
-}
-
-TEST(ParallelBlocks, BlocksAreContiguousAndOrdered) {
-  std::vector<std::pair<std::size_t, std::size_t>> ranges(8);
-  const std::size_t blocks = parallel_blocks(
-      100, 8, [&](std::size_t block, std::size_t begin, std::size_t end) {
-        ranges[block] = {begin, end};
-      });
-  ASSERT_GE(blocks, 1u);
-  ASSERT_LE(blocks, 8u);
-  EXPECT_EQ(ranges[0].first, 0u);
-  EXPECT_EQ(ranges[blocks - 1].second, 100u);
-  for (std::size_t b = 1; b < blocks; ++b)
-    EXPECT_EQ(ranges[b].first, ranges[b - 1].second);
-}
-
-TEST(ParallelBlocks, SerialPathRunsInline) {
-  // threads <= 1 must run block 0 on the calling thread with no pool
-  // involvement (the bitwise-identical serial path).
-  const std::thread::id caller = std::this_thread::get_id();
-  parallel_blocks(10, 1, [&](std::size_t block, std::size_t, std::size_t) {
-    EXPECT_EQ(block, 0u);
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-  });
-}
-
-TEST(ParallelBlocks, NestedSectionsDoNotDeadlock) {
-  // Outer tasks occupy pool workers while inner sections queue more work;
-  // waiting callers drain the queue, so this completes on any pool size.
+TEST(ThreadPool, NestedWaitsDoNotDeadlock) {
+  // Outer tasks occupy pool workers while each queues inner tasks and
+  // waits for them; waiting callers drain the queue, so this completes on
+  // any pool size.
   std::atomic<int> total{0};
   ThreadPool& pool = shared_pool();
   std::vector<std::future<void>> futures;
   for (int outer = 0; outer < 8; ++outer)
-    futures.push_back(pool.submit([&total] {
-      parallel_blocks(16, 4,
-                      [&](std::size_t, std::size_t begin, std::size_t end) {
-                        total += static_cast<int>(end - begin);
-                      });
+    futures.push_back(pool.submit([&total, &pool] {
+      std::vector<std::future<void>> inner;
+      for (int i = 0; i < 4; ++i)
+        inner.push_back(pool.submit([&total] { total += 4; }));
+      for (auto& future : inner) pool.get_helping(future);
     }));
   for (auto& future : futures) pool.get_helping(future);
   EXPECT_EQ(total.load(), 8 * 16);
