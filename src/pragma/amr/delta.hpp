@@ -45,8 +45,7 @@ struct HierarchyDelta {
   /// Total boxes added plus removed across levels.
   [[nodiscard]] std::size_t changed_boxes() const;
   /// Changed boxes over the union box population of the two snapshots:
-  /// 0 = identical hierarchies, ~2 = complete turnover.  The incremental
-  /// consumers fall back to a full rebuild above a churn threshold.
+  /// 0 = identical hierarchies, ~2 = complete turnover.
   [[nodiscard]] double churn() const;
   /// The inverse delta (after -> before): added and removed swapped per
   /// level, before/after metadata swapped.  Applying a delta then its

@@ -7,7 +7,6 @@
 
 #include "pragma/core/run_snapshot.hpp"
 #include "pragma/obs/flight_recorder.hpp"
-#include "pragma/obs/metrics.hpp"
 #include "pragma/obs/tracer.hpp"
 #include "pragma/policy/builtin.hpp"
 #include "pragma/util/logging.hpp"
@@ -357,7 +356,6 @@ bool ManagedRun::try_restore() {
         loaded ? decode_run_snapshot(loaded.value().payload)
                : util::Expected<RunSnapshot>(loaded.status());
     util::Status status = decoded.status();
-    std::optional<partition::WorkGrid> canonical;
     if (decoded) {
       const RunSnapshot& snapshot = decoded.value();
       if (snapshot.config_fingerprint != want) {
@@ -367,13 +365,14 @@ bool ManagedRun::try_restore() {
                  snapshot.trace.empty()) {
         status = util::Status::invalid("checkpoint beyond configured run");
       } else {
-        canonical.emplace(snapshot.trace.snapshots().back().hierarchy, 2,
-                          partition::CurveKind::kHilbert);
-        if (snapshot.owners.size() != canonical->cell_count())
+        const partition::WorkGrid canonical(
+            snapshot.trace.snapshots().back().hierarchy, 2,
+            partition::CurveKind::kHilbert);
+        if (snapshot.owners.size() != canonical.cell_count())
           status = util::Status::invalid(
               "owner map size " + std::to_string(snapshot.owners.size()) +
               " mismatches work grid of " +
-              std::to_string(canonical->cell_count()));
+              std::to_string(canonical.cell_count()));
       }
     }
     if (!status.is_ok()) {
@@ -405,8 +404,10 @@ bool ManagedRun::try_restore() {
 
     owners_.owner.assign(snapshot.owners.begin(), snapshot.owners.end());
     owners_.nprocs = snapshot.owners_nprocs;
-    canonical_ = std::move(canonical);
-    canonical_hierarchy_ = trace_.snapshots().back().hierarchy;
+    // The validation grid is not cached: grids_ holds only grids of this
+    // run's own trace_, looked up once the generation is accepted.
+    canonical_ = grids_.at(trace_, trace_.size() - 1, 2,
+                           partition::CurveKind::kHilbert);
     mapped_ = model_.map(*canonical_, owners_);
     has_assignment_ = true;
 
@@ -499,47 +500,27 @@ void ManagedRun::repartition(bool count_as_regrid) {
   const int grain = meta_->current_grain() > 0
                         ? meta_->current_grain()
                         : partitioner.preferred_grain();
-  const partition::WorkGrid native(emulator_.hierarchy(), grain,
-                                   partitioner.curve());
+  canonical_ = grids_.at(trace_, select_index, 2,
+                         partition::CurveKind::kHilbert);
+  const std::shared_ptr<const partition::WorkGrid> native =
+      grids_.at(trace_, select_index, grain, partitioner.curve());
   const partition::PartitionResult result =
-      partitioner.partition(native, targets);
-
-  // Regrids that move few boxes update the canonical grid from the
-  // hierarchy delta (bitwise-identical to the rebuild, see
-  // WorkGrid::derive) instead of re-rasterizing it.  Counted in
-  // core.managed_run.canonical_{incremental,full}.
-  bool incremental = false;
-  if (canonical_.has_value() && canonical_hierarchy_.has_value())
-    canonical_ = partition::WorkGrid::derive(
-        *canonical_, *canonical_hierarchy_, emulator_.hierarchy(),
-        &incremental);
-  else
-    canonical_.emplace(emulator_.hierarchy(), 2,
-                       partition::CurveKind::kHilbert);
-  canonical_hierarchy_ = emulator_.hierarchy();
-  static obs::Counter& canonical_incremental =
-      obs::metrics().counter("core.managed_run.canonical_incremental");
-  static obs::Counter& canonical_full =
-      obs::metrics().counter("core.managed_run.canonical_full");
-  (incremental ? canonical_incremental : canonical_full).add();
-  span.annotate("canonical_incremental", incremental ? "true" : "false");
+      partitioner.partition(*native, targets);
   partition::OwnerMap next = project_owners(
-      result.owners, native.lattice_dims(), canonical_->lattice_dims());
+      result.owners, native->lattice_dims(), canonical_->lattice_dims());
 
   // The measured partitioner cost is wall clock — fine for the ideal runs,
   // but nondeterministic; the fault-tolerant and persistent paths swap in
   // a modeled cost so chaos runs and checkpoint resumes replay
   // byte-identically under a fixed seed.
   double partition_seconds = result.partition_seconds;
-  const double modeled_s_per_cell =
-      config_.ft.enabled
-          ? config_.ft.modeled_partition_s_per_cell
-          : (config_.persist.enabled
-                 ? config_.persist.modeled_partition_s_per_cell
-                 : config_.modeled_partition_s_per_cell);
+  double modeled_s_per_cell = config_.modeled_partition_s_per_cell;
+  if (modeled_s_per_cell <= 0.0 &&
+      (config_.ft.enabled || config_.persist.enabled))
+    modeled_s_per_cell = kDurablePartitionSPerCell;
   if (modeled_s_per_cell > 0.0)
     partition_seconds =
-        static_cast<double>(native.cell_count()) * modeled_s_per_cell;
+        static_cast<double>(native->cell_count()) * modeled_s_per_cell;
   double overhead = model_.partition_cost(partition_seconds);
   if (has_assignment_ && next.owner.size() == owners_.owner.size())
     overhead += model_.migration_time(*canonical_, owners_, next, cluster_);

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,6 +49,7 @@
 #include "pragma/monitor/capacity.hpp"
 #include "pragma/monitor/resource_monitor.hpp"
 #include "pragma/obs/obs.hpp"
+#include "pragma/partition/workgrid.hpp"
 #include "pragma/res/accountant.hpp"
 
 namespace pragma::core {
@@ -74,11 +74,6 @@ struct FaultToleranceConfig {
   double checkpoint_interval_s = 25.0;
   /// Scale factor on the modeled checkpoint write cost.
   double checkpoint_cost_factor = 1.0;
-  /// Deterministic partitioner cost model, in seconds per work-grid cell
-  /// (scaled by the exec model's partition_time_scale like the measured
-  /// cost would be).  Replaces the wall-clock measurement so that
-  /// fault-injected runs replay byte-identically.  <= 0 keeps wall clock.
-  double modeled_partition_s_per_cell = 50e-9;
 };
 
 /// Durable checkpoint persistence: the paper's save-state actuator made
@@ -108,16 +103,16 @@ struct PersistenceConfig {
   /// Retention window: generations kept on disk (>= 2 keeps a fallback).
   /// GC never deletes the latest recoverable generation regardless.
   int keep_last_n = 2;
-  /// Deterministic partitioner cost model, like
-  /// ft.modeled_partition_s_per_cell — required for byte-identical
-  /// resume (<= 0 keeps nondeterministic wall clock).
-  double modeled_partition_s_per_cell = 50e-9;
   /// Crash-injection hook for the kill-restart soak: abandon run() once
   /// this many coarse steps have completed (-1 = never), as an abrupt
   /// SIGKILL would — no final accounting, nothing flushed beyond the
   /// checkpoints already written.
   int halt_after_steps = -1;
 };
+
+/// The modeled partitioner cost a durable run charges when
+/// ManagedRunConfig::modeled_partition_s_per_cell is <= 0.
+inline constexpr double kDurablePartitionSPerCell = 50e-9;
 
 struct ManagedRunConfig {
   amr::Rm3dConfig app;
@@ -145,9 +140,11 @@ struct ManagedRunConfig {
   std::uint64_t seed = 40;
   FaultToleranceConfig ft;
   PersistenceConfig persist;
-  /// Deterministic partitioner cost model for the *fault-free* path, in
-  /// seconds per work-grid cell (<= 0 keeps the wall-clock measurement).
-  /// The ft/persist equivalents win when those subsystems are enabled.
+  /// Deterministic partitioner cost model, in seconds per work-grid cell
+  /// (scaled by the exec model's partition_time_scale like the measured
+  /// cost would be).  <= 0 keeps the wall-clock measurement, except on a
+  /// durable run (ft or persist enabled), which must replay
+  /// byte-identically and so charges kDurablePartitionSPerCell instead.
   /// Setting this makes a default run replay byte-identically — required
   /// for the CI observability smoke test's committed reference output.
   double modeled_partition_s_per_cell = 0.0;
@@ -300,10 +297,12 @@ class ManagedRun {
   ExecutionModel model_;
 
   // Current assignment state.
-  std::optional<partition::WorkGrid> canonical_;
-  /// The hierarchy canonical_ was rasterized from — the "before" side of
-  /// the delta when the next repartition updates the grid incrementally.
-  std::optional<amr::GridHierarchy> canonical_hierarchy_;
+  /// The canonical and native grids of trace_'s last snapshot: the
+  /// hierarchy changes only at a regrid, which appends to trace_, so event
+  /// repartitions between regrids hit and each regrid derives both grids
+  /// from the previous snapshot's.  Filled only from trace_.
+  partition::WorkGridCache grids_{/*max_entries=*/2};
+  std::shared_ptr<const partition::WorkGrid> canonical_;
   partition::OwnerMap owners_;
   MappedLoad mapped_;
   bool has_assignment_ = false;

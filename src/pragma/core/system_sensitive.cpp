@@ -40,6 +40,13 @@ SystemSensitiveResult run_system_sensitive_experiment(
   const std::vector<double> equal = partition::equal_targets(config.nprocs);
 
   const ExecutionModel model(config.exec);
+  // Grids come from the shared cache when one is configured, so the
+  // Table 5 processor-count sweep makes each snapshot's grid only once;
+  // otherwise a local cache still derives each grid from the previous one.
+  partition::WorkGridCache local_grids(/*max_entries=*/2);
+  partition::WorkGridCache& grids = config.workgrid_cache != nullptr
+                                        ? *config.workgrid_cache
+                                        : local_grids;
 
   SystemSensitiveResult result;
   result.nprocs = config.nprocs;
@@ -65,20 +72,12 @@ SystemSensitiveResult run_system_sensitive_experiment(
     if (config.dynamic_capacities)
       capacities = calculator.from_current(nws);
 
-    // Grids come from the shared cache when one is configured, so the
-    // Table 5 processor-count sweep rasterizes each snapshot only once.
-    auto grid_for = [&](int grain, partition::CurveKind curve) {
-      if (config.workgrid_cache != nullptr)
-        return config.workgrid_cache->get_or_build(i, snapshot.hierarchy,
-                                                   grain, curve);
-      return std::shared_ptr<const partition::WorkGrid>(
-          std::make_shared<const partition::WorkGrid>(snapshot.hierarchy,
-                                                      grain, curve));
-    };
     const std::shared_ptr<const partition::WorkGrid> native =
-        grid_for(partitioner->preferred_grain(), partitioner->curve());
+        grids.at(trace, i, partitioner->preferred_grain(),
+                 partitioner->curve());
     const std::shared_ptr<const partition::WorkGrid> canonical =
-        grid_for(config.canonical_grain, partition::CurveKind::kHilbert);
+        grids.at(trace, i, config.canonical_grain,
+                 partition::CurveKind::kHilbert);
 
     auto project = [&](const partition::PartitionResult& r) {
       return project_owners(r.owners, native->lattice_dims(),

@@ -56,14 +56,6 @@ RunSummary TraceRunner::run_adaptive(
                 &meta);
 }
 
-std::shared_ptr<const partition::WorkGrid> TraceRunner::grid_at(
-    std::size_t index, int grain, partition::CurveKind curve) const {
-  const amr::GridHierarchy& hierarchy = trace_.at(index).hierarchy;
-  if (index == 0) return cache().get_or_build(0, hierarchy, grain, curve);
-  return cache().get_or_update(index, hierarchy, index - 1,
-                               trace_.at(index - 1).hierarchy, grain, curve);
-}
-
 RunSummary TraceRunner::replay(
     const std::string& label,
     const std::function<const partition::Partitioner&(std::size_t)>& select,
@@ -110,7 +102,8 @@ RunSummary TraceRunner::replay(
     // below for the stale-partition term, is this lookup on the next
     // iteration — and on every other replay of the same trace).
     const std::shared_ptr<const partition::WorkGrid> canonical_ptr =
-        grid_at(i, config_.canonical_grain, partition::CurveKind::kHilbert);
+        cache().at(trace_, i, config_.canonical_grain,
+                   partition::CurveKind::kHilbert);
     const partition::WorkGrid& canonical = *canonical_ptr;
 
     // Agent-triggered repartitioning (adaptive runs only): keep the
@@ -150,7 +143,7 @@ RunSummary TraceRunner::replay(
                             ? meta->current_grain()
                             : partitioner.preferred_grain();
       const std::shared_ptr<const partition::WorkGrid> native =
-          grid_at(i, grain, partitioner.curve());
+          cache().at(trace_, i, grain, partitioner.curve());
       result = partitioner.partition(*native, config_.targets);
       if (config_.modeled_partition_s_per_cell > 0.0)
         result.partition_seconds =
@@ -171,8 +164,8 @@ RunSummary TraceRunner::replay(
     StepTime stale = fresh;
     if (i + 1 < trace_.size()) {
       const std::shared_ptr<const partition::WorkGrid> next_canonical =
-          grid_at(i + 1, config_.canonical_grain,
-                  partition::CurveKind::kHilbert);
+          cache().at(trace_, i + 1, config_.canonical_grain,
+                     partition::CurveKind::kHilbert);
       carried = model_.map(*next_canonical, owners);
       stale = model_.time_of(carried, cluster_);
     }

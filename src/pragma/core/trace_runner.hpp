@@ -117,12 +117,6 @@ class TraceRunner {
                                            : workgrid_cache_;
   }
 
-  /// Snapshot `index`'s grid at (`grain`, `curve`) from the cache.  A miss
-  /// past snapshot 0 derives it from snapshot index-1's cached grid (see
-  /// WorkGridCache::get_or_update) instead of re-rasterizing.
-  [[nodiscard]] std::shared_ptr<const partition::WorkGrid> grid_at(
-      std::size_t index, int grain, partition::CurveKind curve) const;
-
   const amr::AdaptationTrace& trace_;
   const grid::Cluster& cluster_;
   TraceRunConfig config_;

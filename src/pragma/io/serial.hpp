@@ -45,8 +45,10 @@ class ByteWriter {
 
  private:
   void append(const void* data, std::size_t size) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    buffer_.insert(buffer_.end(), p, p + size);
+    if (size == 0) return;
+    const std::size_t offset = buffer_.size();
+    buffer_.resize(offset + size);
+    std::memcpy(buffer_.data() + offset, data, size);
   }
   std::vector<std::uint8_t> buffer_;
 };

@@ -291,13 +291,10 @@ bool WorkGrid::apply_delta(const amr::HierarchyDelta& delta) {
 WorkGrid WorkGrid::derive(const WorkGrid& previous,
                           const amr::GridHierarchy& before,
                           const amr::GridHierarchy& after, bool* incremental) {
-  const amr::HierarchyDelta delta = amr::diff_hierarchies(before, after);
-  if (delta.churn() <= kIncrementalChurnLimit) {
-    WorkGrid updated = previous;
-    if (updated.apply_delta(delta)) {
-      *incremental = true;
-      return updated;
-    }
+  WorkGrid updated = previous;
+  if (updated.apply_delta(amr::diff_hierarchies(before, after))) {
+    *incremental = true;
+    return updated;
   }
   *incremental = false;
   return WorkGrid(after, previous.grain_, previous.curve_);
@@ -369,8 +366,28 @@ std::shared_ptr<const WorkGrid> WorkGridCache::insert_locked(
   return it->second.grid;
 }
 
-std::shared_ptr<const WorkGrid> WorkGridCache::insert_built(
-    const Key& key, std::shared_ptr<const WorkGrid> grid, bool incremental) {
+std::shared_ptr<const WorkGrid> WorkGridCache::at(
+    const amr::AdaptationTrace& trace, std::size_t index, int grain,
+    CurveKind curve) {
+  const amr::GridHierarchy& hierarchy = trace.at(index).hierarchy;
+  const Key key{index, grain, curve};
+  std::shared_ptr<const WorkGrid> previous;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (auto grid = find_locked(key)) return grid;
+    if (index > 0) {
+      const auto it = cache_.find(Key{index - 1, grain, curve});
+      if (it != cache_.end()) previous = it->second.grid;
+    }
+  }
+  // Make the grid outside the lock; a concurrent maker of the same key
+  // loses the insertion race and its grid is dropped.
+  bool incremental = false;
+  auto grid = std::make_shared<const WorkGrid>(
+      previous != nullptr
+          ? WorkGrid::derive(*previous, trace.at(index - 1).hierarchy,
+                             hierarchy, &incremental)
+          : WorkGrid(hierarchy, grain, curve));
   std::lock_guard<std::mutex> lock(mutex_);
   if (incremental) {
     ++stats_.incremental_builds;
@@ -380,43 +397,6 @@ std::shared_ptr<const WorkGrid> WorkGridCache::insert_built(
     cache_counters().full.add();
   }
   return insert_locked(key, std::move(grid));
-}
-
-std::shared_ptr<const WorkGrid> WorkGridCache::get_or_build(
-    std::size_t snapshot, const amr::GridHierarchy& hierarchy, int grain,
-    CurveKind curve) {
-  const Key key{snapshot, grain, curve};
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (auto grid = find_locked(key)) return grid;
-  }
-  // Rasterize outside the lock; a concurrent builder of the same key loses
-  // the insertion race and its grid is dropped.
-  return insert_built(
-      key, std::make_shared<const WorkGrid>(hierarchy, grain, curve),
-      /*incremental=*/false);
-}
-
-std::shared_ptr<const WorkGrid> WorkGridCache::get_or_update(
-    std::size_t snapshot, const amr::GridHierarchy& hierarchy,
-    std::size_t prev_snapshot, const amr::GridHierarchy& prev_hierarchy,
-    int grain, CurveKind curve) {
-  const Key key{snapshot, grain, curve};
-  std::shared_ptr<const WorkGrid> previous;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (auto grid = find_locked(key)) return grid;
-    const auto prev_it = cache_.find(Key{prev_snapshot, grain, curve});
-    if (prev_it != cache_.end()) previous = prev_it->second.grid;
-  }
-  if (previous == nullptr)
-    return insert_built(
-        key, std::make_shared<const WorkGrid>(hierarchy, grain, curve),
-        /*incremental=*/false);
-  bool incremental = false;
-  auto grid = std::make_shared<const WorkGrid>(
-      WorkGrid::derive(*previous, prev_hierarchy, hierarchy, &incremental));
-  return insert_built(key, std::move(grid), incremental);
 }
 
 std::size_t WorkGridCache::size() const {

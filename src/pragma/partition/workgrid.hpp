@@ -29,15 +29,11 @@
 
 #include "pragma/amr/delta.hpp"
 #include "pragma/amr/hierarchy.hpp"
+#include "pragma/amr/trace.hpp"
 #include "pragma/partition/prefix_sums.hpp"
 #include "pragma/partition/sfc.hpp"
 
 namespace pragma::partition {
-
-/// Deltas whose churn() exceeds this are cheaper to absorb with a full
-/// rebuild (the incremental path's per-touched-cell bookkeeping stops
-/// paying for itself well before half the boxes have moved).
-inline constexpr double kIncrementalChurnLimit = 0.35;
 
 class WorkGrid {
  public:
@@ -63,11 +59,10 @@ class WorkGrid {
 
   /// The one delta-or-rebuild policy: the grid of `after`, derived from
   /// `previous` (rasterized from `before`).  A copy of `previous` absorbs
-  /// diff_hierarchies(before, after) when its churn is at most
-  /// kIncrementalChurnLimit and apply_delta accepts it; otherwise `after`
-  /// is rasterized at `previous`'s grain and curve, with no copy made.
-  /// Either way the result is bitwise-identical to a fresh build.
-  /// `*incremental` is set to whether the delta was applied.
+  /// diff_hierarchies(before, after) at any churn; only when apply_delta
+  /// refuses the delta is `after` rasterized at `previous`'s grain and
+  /// curve instead.  Either way the result is bitwise-identical to a fresh
+  /// build.  `*incremental` is set to whether the delta was applied.
   [[nodiscard]] static WorkGrid derive(const WorkGrid& previous,
                                        const amr::GridHierarchy& before,
                                        const amr::GridHierarchy& after,
@@ -149,35 +144,27 @@ class WorkGrid {
 };
 
 /// Thread-safe LRU cache of immutable WorkGrids keyed by (snapshot index,
-/// grain, curve).  Trace replays and multi-run benches request the same
-/// canonical grid once per partitioner run; with the cache each grid is
-/// rasterized exactly once per trace and shared from then on.  The entry
-/// count is bounded (least-recently-used grids are evicted) so long
-/// multi-run services do not grow without limit, and steady-state regrids
-/// can derive snapshot i's grid from snapshot i-1's via apply_delta
-/// (get_or_update) instead of rebuilding.
+/// grain, curve) of one adaptation trace: the one place that maps a
+/// snapshot to its grid.  Trace replays, the system-sensitive experiment
+/// and managed runs all look grids up through at(), so a cached grid is
+/// shared instead of made again.  The entry count is bounded
+/// (least-recently-used grids are evicted) so long multi-run services do
+/// not grow without limit.
 class WorkGridCache {
  public:
   static constexpr std::size_t kDefaultMaxEntries = 64;
 
   explicit WorkGridCache(std::size_t max_entries = kDefaultMaxEntries);
 
-  /// Return the cached grid for (`snapshot`, `grain`, `curve`), building it
-  /// from `hierarchy` on first request.  The caller must use a stable
-  /// snapshot index <-> hierarchy mapping for the lifetime of the cache.
-  [[nodiscard]] std::shared_ptr<const WorkGrid> get_or_build(
-      std::size_t snapshot, const amr::GridHierarchy& hierarchy, int grain,
+  /// The grid of `trace` snapshot `index` at (`grain`, `curve`).  On a
+  /// miss, snapshot 0 is rasterized; a later snapshot is derived from the
+  /// cached grid of snapshot index-1 through WorkGrid::derive, or
+  /// rasterized when that grid is absent.  One lookup counts one hit or
+  /// miss.  Every lookup on one cache must name the same trace (or one
+  /// that only grew by appending snapshots).
+  [[nodiscard]] std::shared_ptr<const WorkGrid> at(
+      const amr::AdaptationTrace& trace, std::size_t index, int grain,
       CurveKind curve);
-
-  /// Like get_or_build, but on a miss derives the grid from the cached
-  /// (`prev_snapshot`, `grain`, `curve`) entry through WorkGrid::derive —
-  /// at low regrid churn an update over the touched cells, far cheaper
-  /// than re-rasterizing.  Builds from scratch when the previous grid is
-  /// absent.  One lookup counts one hit or miss.
-  [[nodiscard]] std::shared_ptr<const WorkGrid> get_or_update(
-      std::size_t snapshot, const amr::GridHierarchy& hierarchy,
-      std::size_t prev_snapshot, const amr::GridHierarchy& prev_hierarchy,
-      int grain, CurveKind curve);
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t max_entries() const { return max_entries_; }
@@ -219,10 +206,6 @@ class WorkGridCache {
   [[nodiscard]] std::shared_ptr<const WorkGrid> find_locked(const Key& key);
   std::shared_ptr<const WorkGrid> insert_locked(
       const Key& key, std::shared_ptr<const WorkGrid> grid);
-  /// Count a freshly made grid as an incremental or full build and cache it.
-  std::shared_ptr<const WorkGrid> insert_built(
-      const Key& key, std::shared_ptr<const WorkGrid> grid, bool incremental);
-
   const std::size_t max_entries_;
   mutable std::mutex mutex_;
   std::unordered_map<Key, Entry, KeyHash> cache_;

@@ -398,7 +398,7 @@ std::vector<std::uint8_t> encode_run_spec(const RunSpec& spec) {
   w.f64(spec.ft.staleness.prior_fraction);
   w.f64(spec.ft.checkpoint_interval_s);
   w.f64(spec.ft.checkpoint_cost_factor);
-  w.f64(spec.ft.modeled_partition_s_per_cell);
+  w.f64(core::kDurablePartitionSPerCell);  // retired ft cost
 
   // persistence
   w.u8(spec.persist.enabled ? 1 : 0);
@@ -406,7 +406,7 @@ std::vector<std::uint8_t> encode_run_spec(const RunSpec& spec) {
   w.u8(spec.persist.resume ? 1 : 0);
   w.f64(spec.persist.checkpoint_interval_s);
   w.i32(spec.persist.keep_last_n);
-  w.f64(spec.persist.modeled_partition_s_per_cell);
+  w.f64(core::kDurablePartitionSPerCell);  // retired persist cost
   w.i32(spec.persist.halt_after_steps);
   w.f64(spec.modeled_partition_s_per_cell);
 
@@ -524,14 +524,14 @@ util::Expected<RunSpec> decode_run_spec(
   spec.ft.staleness.prior_fraction = r.f64();
   spec.ft.checkpoint_interval_s = r.f64();
   spec.ft.checkpoint_cost_factor = r.f64();
-  spec.ft.modeled_partition_s_per_cell = r.f64();
+  (void)r.f64();  // retired ft partition cost
 
   spec.persist.enabled = r.u8() != 0;
   spec.persist.dir = r.str();
   spec.persist.resume = r.u8() != 0;
   spec.persist.checkpoint_interval_s = r.f64();
   spec.persist.keep_last_n = r.i32();
-  spec.persist.modeled_partition_s_per_cell = r.f64();
+  (void)r.f64();  // retired persist partition cost
   spec.persist.halt_after_steps = r.i32();
   spec.modeled_partition_s_per_cell = r.f64();
 

@@ -8,6 +8,7 @@
 #include "pragma/amr/rm3d.hpp"
 #include "pragma/core/system_sensitive.hpp"
 #include "pragma/core/trace_runner.hpp"
+#include "pragma/partition/workgrid.hpp"
 #include "pragma/policy/builtin.hpp"
 
 namespace pragma::core {
@@ -155,6 +156,28 @@ TEST(SystemSensitive, DeterministicForSeed) {
       run_system_sensitive_experiment(short_rm3d_trace(), config);
   EXPECT_DOUBLE_EQ(a.default_runtime_s, b.default_runtime_s);
   EXPECT_DOUBLE_EQ(a.sensitive_runtime_s, b.sensitive_runtime_s);
+}
+
+TEST(SystemSensitive, SharedCacheMatchesLocalCacheBitwise) {
+  // The Table 5 sweep shares one cache across processor counts; each run
+  // must equal the same run on a cache of its own, bit for bit.
+  partition::WorkGridCache shared;
+  for (const std::size_t nprocs : {6u, 12u}) {
+    SystemSensitiveConfig local;
+    local.nprocs = nprocs;
+    SystemSensitiveConfig cached = local;
+    cached.workgrid_cache = &shared;
+    const SystemSensitiveResult a =
+        run_system_sensitive_experiment(short_rm3d_trace(), local);
+    const SystemSensitiveResult b =
+        run_system_sensitive_experiment(short_rm3d_trace(), cached);
+    EXPECT_EQ(a.default_runtime_s, b.default_runtime_s);
+    EXPECT_EQ(a.sensitive_runtime_s, b.sensitive_runtime_s);
+    EXPECT_EQ(a.improvement, b.improvement);
+    EXPECT_EQ(a.default_imbalance, b.default_imbalance);
+    EXPECT_EQ(a.sensitive_imbalance, b.sensitive_imbalance);
+    EXPECT_EQ(a.capacities.fraction, b.capacities.fraction);
+  }
 }
 
 TEST(SystemSensitive, HomogeneousClusterGainsLittle) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "pragma/obs/obs.hpp"
+
 namespace pragma::core {
 namespace {
 
@@ -107,6 +112,41 @@ TEST(ManagedRun, SwitchesPartitionersAcrossPhases) {
   ManagedRun managed(small_config(200));
   const ManagedRunReport report = managed.run();
   EXPECT_GE(report.partitioner_switches, 1u);
+}
+
+class ManagedRunGridCache : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    obs::MetricsRegistry::instance().set_enabled(false);
+    obs::MetricsRegistry::instance().reset();
+  }
+};
+
+TEST_F(ManagedRunGridCache, EventRepartitionsReuseTheRegridsGrids) {
+  // The CI observability smoke configuration, without durable files: the
+  // hierarchy changes only at a regrid, so every event repartition finds
+  // both of its grids cached and each regrid makes at most two grids.
+  ManagedRunConfig config = small_config(60);
+  config.capacity_spread = 0.35;
+  config.with_background_load = true;
+  config.system_sensitive = true;
+  config.ft.enabled = true;
+  config.ft.channel.drop_probability = 0.05;
+  config.modeled_partition_s_per_cell = 50e-9;
+  config.obs.metrics = true;
+  const auto count = [](const std::string& name) -> std::uint64_t {
+    return obs::metrics().counter("partition.workgrid_cache." + name).value();
+  };
+  const std::uint64_t hits = count("hits");
+  const std::uint64_t builds = count("full_builds") +
+                               count("incremental_builds");
+  ManagedRun managed(config);
+  managed.schedule_failure(60.0, 3, 120.0);
+  const ManagedRunReport report = managed.run();
+  ASSERT_GT(report.event_repartitions, 0u);
+  EXPECT_GE(count("hits") - hits, report.event_repartitions);
+  EXPECT_LE(count("full_builds") + count("incremental_builds") - builds,
+            2 * (report.regrids + 1));
 }
 
 }  // namespace

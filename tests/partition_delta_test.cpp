@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
+#include "pragma/amr/trace.hpp"
 #include "pragma/core/exec_model.hpp"
 #include "pragma/partition/metrics.hpp"
 #include "pragma/partition/partitioner.hpp"
@@ -222,18 +224,28 @@ TEST(WorkGridOracle, VectorizedBuildMatchesReferenceKernels) {
   }
 }
 
+/// A trace of the given hierarchies, one regrid apart.
+amr::AdaptationTrace trace_of(std::vector<amr::GridHierarchy> hierarchies) {
+  amr::AdaptationTrace trace;
+  int step = 0;
+  for (amr::GridHierarchy& h : hierarchies)
+    trace.add(amr::Snapshot{step++, std::move(h)});
+  return trace;
+}
+
 TEST(WorkGridCache, EvictsLeastRecentlyUsedPastCap) {
   util::Rng rng(21);
   const amr::GridHierarchy h = random_hierarchy(rng);
+  const amr::AdaptationTrace trace = trace_of({h, h, h});
   WorkGridCache cache(/*max_entries=*/2);
   EXPECT_EQ(cache.max_entries(), 2u);
 
-  (void)cache.get_or_build(0, h, 2, CurveKind::kHilbert);
-  (void)cache.get_or_build(1, h, 4, CurveKind::kHilbert);
+  (void)cache.at(trace, 0, 2, CurveKind::kHilbert);
+  (void)cache.at(trace, 1, 4, CurveKind::kHilbert);
   EXPECT_EQ(cache.size(), 2u);
   // Touch snapshot 0 so snapshot 1 is the LRU entry, then overflow.
-  (void)cache.get_or_build(0, h, 2, CurveKind::kHilbert);
-  (void)cache.get_or_build(2, h, 8, CurveKind::kHilbert);
+  (void)cache.at(trace, 0, 2, CurveKind::kHilbert);
+  (void)cache.at(trace, 2, 8, CurveKind::kHilbert);
   EXPECT_EQ(cache.size(), 2u);
 
   WorkGridCache::Stats stats = cache.stats();
@@ -244,8 +256,8 @@ TEST(WorkGridCache, EvictsLeastRecentlyUsedPastCap) {
 
   // Snapshot 0 survived (recently used): hit.  Snapshot 1 was evicted:
   // miss and rebuild.
-  (void)cache.get_or_build(0, h, 2, CurveKind::kHilbert);
-  (void)cache.get_or_build(1, h, 4, CurveKind::kHilbert);
+  (void)cache.at(trace, 0, 2, CurveKind::kHilbert);
+  (void)cache.at(trace, 1, 4, CurveKind::kHilbert);
   stats = cache.stats();
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.misses, 4u);
@@ -253,9 +265,9 @@ TEST(WorkGridCache, EvictsLeastRecentlyUsedPastCap) {
 }
 
 TEST(WorkGridCache, GetOrUpdateDerivesGridIncrementally) {
-  // A steady-state regrid: one box of many moves, so the delta churn is
-  // well under kIncrementalChurnLimit and the cache must take the
-  // apply_delta path rather than rebuilding.
+  // A steady-state regrid: one box of many moves, and the cache derives
+  // snapshot 1's grid from snapshot 0's through apply_delta rather than
+  // rebuilding it.
   util::Rng rng(23);
   const amr::IntVec3 l1{kBase.x * kRatio, kBase.y * kRatio, kBase.z * kRatio};
   std::vector<amr::Box> boxes;
@@ -265,20 +277,17 @@ TEST(WorkGridCache, GetOrUpdateDerivesGridIncrementally) {
   boxes.back() = random_box(rng, l1, 4);
   amr::GridHierarchy after = before;
   after.set_level_boxes(1, boxes);
-  ASSERT_LE(amr::diff_hierarchies(before, after).churn(),
-            kIncrementalChurnLimit);
+  const amr::AdaptationTrace trace = trace_of({before, after});
   WorkGridCache cache;
-  (void)cache.get_or_build(0, before, kGrain, CurveKind::kHilbert);
-  const auto updated =
-      cache.get_or_update(1, after, 0, before, kGrain, CurveKind::kHilbert);
+  (void)cache.at(trace, 0, kGrain, CurveKind::kHilbert);
+  const auto updated = cache.at(trace, 1, kGrain, CurveKind::kHilbert);
   expect_bitwise_equal(*updated, WorkGrid(after, kGrain));
 
   const WorkGridCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.incremental_builds, 1u);
   EXPECT_EQ(stats.full_builds, 1u);
   // Subsequent lookups hit the cached derived grid.
-  (void)cache.get_or_update(1, after, 0, before, kGrain,
-                            CurveKind::kHilbert);
+  (void)cache.at(trace, 1, kGrain, CurveKind::kHilbert);
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
@@ -286,9 +295,9 @@ TEST(WorkGridCache, GetOrUpdateFallsBackWithoutPreviousEntry) {
   util::Rng rng(27);
   const amr::GridHierarchy before = random_hierarchy(rng);
   const amr::GridHierarchy after = mutate(rng, before);
+  const amr::AdaptationTrace trace = trace_of({before, after});
   WorkGridCache cache;
-  const auto grid =
-      cache.get_or_update(1, after, 0, before, kGrain, CurveKind::kHilbert);
+  const auto grid = cache.at(trace, 1, kGrain, CurveKind::kHilbert);
   expect_bitwise_equal(*grid, WorkGrid(after, kGrain));
   EXPECT_EQ(cache.stats().incremental_builds, 0u);
   EXPECT_EQ(cache.stats().full_builds, 1u);
@@ -299,8 +308,9 @@ TEST(WorkGridCache, GetOrUpdateFallbackCountsOneMiss) {
   util::Rng rng(29);
   const amr::GridHierarchy before = random_hierarchy(rng);
   const amr::GridHierarchy after = mutate(rng, before);
+  const amr::AdaptationTrace trace = trace_of({before, after});
   WorkGridCache cache;
-  (void)cache.get_or_update(1, after, 0, before, kGrain, CurveKind::kHilbert);
+  (void)cache.at(trace, 1, kGrain, CurveKind::kHilbert);
   const WorkGridCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 0u);
@@ -327,16 +337,16 @@ TEST(WorkGridDerive, AppliesLowChurnDeltaAndRebuildsOtherwise) {
   EXPECT_TRUE(incremental);
   expect_bitwise_equal(updated, WorkGrid(one_moved, kGrain));
 
-  // Every box moves: churn past the limit, so the grid is rebuilt.
+  // Every box moves: however high the churn, a compatible delta is still
+  // applied, and the result is still bitwise equal to a rebuild.
   for (amr::Box& box : boxes) box = random_box(rng, l1, 4);
   amr::GridHierarchy all_moved = before;
   all_moved.set_level_boxes(1, boxes);
-  ASSERT_GT(amr::diff_hierarchies(one_moved, all_moved).churn(),
-            kIncrementalChurnLimit);
-  const WorkGrid rebuilt =
+  ASSERT_GT(amr::diff_hierarchies(one_moved, all_moved).churn(), 0.5);
+  const WorkGrid all_updated =
       WorkGrid::derive(updated, one_moved, all_moved, &incremental);
-  EXPECT_FALSE(incremental);
-  expect_bitwise_equal(rebuilt, WorkGrid(all_moved, kGrain));
+  EXPECT_TRUE(incremental);
+  expect_bitwise_equal(all_updated, WorkGrid(all_moved, kGrain));
 
   // A different base domain is no delta at all: rebuilt at the previous
   // grid's grain and curve.

@@ -14,12 +14,16 @@
 namespace pragma::partition {
 namespace {
 
-amr::GridHierarchy rm3d_hierarchy(int steps = 40) {
+/// Two snapshots of one RM3D hierarchy, so lookups of both share it.
+amr::AdaptationTrace rm3d_trace(int steps = 40) {
   amr::Rm3dConfig config;
   config.coarse_steps = steps + 20;
   amr::Rm3dEmulator emulator(config);
   for (int s = 0; s < steps; ++s) emulator.advance();
-  return emulator.hierarchy();
+  amr::AdaptationTrace trace;
+  trace.add(amr::Snapshot{0, emulator.hierarchy()});
+  trace.add(amr::Snapshot{1, emulator.hierarchy()});
+  return trace;
 }
 
 TEST(CurveOrderShared, RepeatedCallsShareOneVector) {
@@ -57,14 +61,14 @@ TEST(CurveOrderShared, ConcurrentAccessIsConsistent) {
 }
 
 TEST(WorkGridCacheTest, SameKeySharesOneGrid) {
-  const amr::GridHierarchy hierarchy = rm3d_hierarchy();
+  const amr::AdaptationTrace trace = rm3d_trace();
   WorkGridCache cache;
-  const auto a = cache.get_or_build(0, hierarchy, 2, CurveKind::kHilbert);
-  const auto b = cache.get_or_build(0, hierarchy, 2, CurveKind::kHilbert);
+  const auto a = cache.at(trace, 0, 2, CurveKind::kHilbert);
+  const auto b = cache.at(trace, 0, 2, CurveKind::kHilbert);
   EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(cache.size(), 1u);
-  const auto c = cache.get_or_build(1, hierarchy, 2, CurveKind::kHilbert);
-  const auto d = cache.get_or_build(0, hierarchy, 4, CurveKind::kHilbert);
+  const auto c = cache.at(trace, 1, 2, CurveKind::kHilbert);
+  const auto d = cache.at(trace, 0, 4, CurveKind::kHilbert);
   EXPECT_NE(a.get(), c.get());
   EXPECT_NE(a.get(), d.get());
   EXPECT_EQ(cache.size(), 3u);
@@ -75,7 +79,7 @@ TEST(WorkGridCacheTest, SameKeySharesOneGrid) {
 }
 
 TEST(WorkGridCacheTest, ConcurrentGetOrBuildYieldsOneGrid) {
-  const amr::GridHierarchy hierarchy = rm3d_hierarchy();
+  const amr::AdaptationTrace trace = rm3d_trace();
   WorkGridCache cache;
   constexpr int kThreads = 8;
   std::vector<std::shared_ptr<const WorkGrid>> grids(kThreads);
@@ -83,9 +87,9 @@ TEST(WorkGridCacheTest, ConcurrentGetOrBuildYieldsOneGrid) {
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t)
-      threads.emplace_back([t, &cache, &hierarchy, &grids] {
-        grids[t] = cache.get_or_build(static_cast<std::size_t>(t % 2),
-                                      hierarchy, 2, CurveKind::kHilbert);
+      threads.emplace_back([t, &cache, &trace, &grids] {
+        grids[t] = cache.at(trace, static_cast<std::size_t>(t % 2), 2,
+                            CurveKind::kHilbert);
       });
     for (std::thread& thread : threads) thread.join();
   }

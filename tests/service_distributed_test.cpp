@@ -323,19 +323,20 @@ TEST(Distributed, KnobOffMatchesSchedulerPathByteIdentical) {
 
 // Satellite: the reliable-channel knobs ride the one env/CLI merge path.
 TEST(Distributed, ReliableFlagsRoundTrip) {
+  const RunSpec base;
   util::CliFlags flags;
-  add_run_flags(flags, RunSpec{});
+  add_run_flags(flags, base);
   const char* argv[] = {"prog", "--reliable-timeout=0.25",
                         "--reliable-backoff=3.5", "--reliable-attempts=11"};
   ASSERT_TRUE(flags.parse(4, argv));
-  const RunSpec spec = spec_from_flags(flags);
+  const RunSpec spec = spec_from_flags(flags, base);
   EXPECT_EQ(spec.ft.reliable.timeout_s, 0.25);
   EXPECT_EQ(spec.ft.reliable.backoff_factor, 3.5);
   EXPECT_EQ(spec.ft.reliable.max_attempts, 11);
   // Defaults pass through untouched when the flags are absent.
   util::CliFlags defaults;
-  add_run_flags(defaults, RunSpec{});
-  const RunSpec untouched = spec_from_flags(defaults);
+  add_run_flags(defaults, base);
+  const RunSpec untouched = spec_from_flags(defaults, base);
   EXPECT_EQ(untouched.ft.reliable.timeout_s,
             agents::ReliableConfig{}.timeout_s);
   EXPECT_EQ(untouched.ft.reliable.max_attempts,
